@@ -62,7 +62,6 @@ from .integrate import (
 )
 from .signals import (
     CoefficientSignal,
-    ConjugatedSignal,
     ConstantSignal,
     FourierSignal,
     HamiltonianSignal,
@@ -84,7 +83,6 @@ __all__ = [
     "ChartSingularityError",
     "CoefficientSignal",
     "ComparisonReport",
-    "ConjugatedSignal",
     "ConstantSignal",
     "FourierSignal",
     "HamiltonianSignal",

@@ -140,8 +140,9 @@ def exp_ad(ad: AdjointMatrix, u: complex) -> np.ndarray:
 def apply_exp_ad(ad: AdjointMatrix, u: complex, v: np.ndarray) -> np.ndarray:
     """exp(u * ad X_m) @ v without forming the matrix.
 
-    The workhorse of the staged solve: two sparse integer mat-vecs for root
-    generators, one entrywise scale for Cartan generators.
+    The workhorse of the dense oracle ``assemble_A_numeric``: two sparse
+    integer mat-vecs for root generators, one entrywise scale for Cartan
+    generators.
     """
     if ad.role == "cartan":
         return np.exp(u * np.diagonal(ad.entries).astype(complex)) * v

@@ -23,6 +23,7 @@ lower-indexed block ([J_i, J_j] subset of J_min(i,j)).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal
 
 import numpy as np
@@ -30,6 +31,7 @@ import numpy as np
 __all__ = [
     "BasisElement",
     "BlockRef",
+    "IndexMaps",
     "OrderedBasis",
     "StructureTensor",
     "SubalgebraPartition",
@@ -97,6 +99,11 @@ class OrderedBasis:
         if not 1 <= m <= self.n:
             raise ValueError(f"generator index {m} outside 1..{self.n}")
         return self.n + 1 - m
+
+    @cached_property
+    def maps(self) -> "IndexMaps":
+        """Where each generator sits in the N x N matrix (built once)."""
+        return _build_index_maps(self)
 
 
 def _unit(N: int, p: int, q: int) -> np.ndarray:
@@ -179,12 +186,16 @@ class SubalgebraPartition:
         )
         return tuple(refs)
 
+    def stage_of(self, m: int) -> int:
+        """1-based position, in elimination order, of the block holding X_m."""
+        for s, ref in enumerate(self.blocks_in_index_order(), start=1):
+            if m in ref.indices:
+                return s
+        raise ValueError(f"generator index {m} outside 1..{self.N ** 2 - 1}")
+
     def block_of(self, m: int) -> BlockRef:
         """The block containing generator index m."""
-        for ref in self.blocks_in_index_order():
-            if m in ref.indices:
-                return ref
-        raise ValueError(f"generator index {m} outside 1..{self.N ** 2 - 1}")
+        return self.blocks_in_index_order()[self.stage_of(m) - 1]
 
 
 def build_partition(basis: OrderedBasis) -> SubalgebraPartition:
@@ -207,6 +218,79 @@ def build_partition(basis: OrderedBasis) -> SubalgebraPartition:
         cartan=cartan,
         lower_blocks=tuple(reversed(lower_desc)),
     )
+
+
+@dataclass(frozen=True, eq=False)
+class IndexMaps:
+    """Index arrays that place the ordered basis in the N x N matrix.
+
+    ``root`` holds the 0-based slots of the root units E_pq in basis order
+    and ``rows``/``cols`` their entries (p - 1, q - 1); ``cartan`` selects
+    the slots of H_1, ..., H_(N-1).  ``gather`` maps each slot into the
+    flattened matrix followed by its N - 1 partial diagonal sums.
+    ``blocks`` lists the partition in index order as ``(kind, line,
+    slots)``: an upper block holds the units above the diagonal in column
+    ``line``, bottom row first; a lower block the units left of the diagonal
+    in row ``line``, first column first (0-based; ``line`` is -1 for the
+    Cartan block).
+    """
+
+    N: int
+    root: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    cartan: slice
+    gather: np.ndarray
+    blocks: tuple[tuple[Role, int, slice], ...]
+
+    def cartan_diagonal(self, a: np.ndarray) -> np.ndarray:
+        """Diagonal of sum_l a(H_l) H_l for a coefficient vector a."""
+        # H_l puts +a_l at (l, l) and -a_l at (l+1, l+1)
+        h = np.zeros(self.N + 1, dtype=complex)
+        h[1 : self.N] = a[self.cartan]
+        return h[1:] - h[:-1]
+
+    def expand(self, M: np.ndarray) -> np.ndarray:
+        """Coefficients of traceless matrices M (..., N, N), shape (..., n).
+
+        Root coefficients are matrix entries; the H_l coefficient is the
+        partial sum of the first l diagonal entries.
+        """
+        N = self.N
+        flat = M.reshape(M.shape[:-2] + (N * N,))
+        sums = np.cumsum(flat[..., :: N + 1], axis=-1)[..., : N - 1]
+        return np.concatenate([flat, sums], axis=-1).take(self.gather, axis=-1)
+
+
+def _build_index_maps(basis: OrderedBasis) -> IndexMaps:
+    """Index maps of a basis; raises if a block is not shaped as documented."""
+    N = basis.N
+    blocks = []
+    for ref in build_partition(basis).blocks_in_index_order():
+        pos = [basis.element(m).position for m in ref.indices]
+        pos = [(p - 1, q - 1) for p, q in pos]
+        slots = slice(ref.indices[0] - 1, ref.indices[-1])
+        if ref.kind == "cartan":
+            line = -1
+            ok = pos == [(l, l) for l in range(N - 1)]
+            cartan = slots
+        elif ref.kind == "upper":
+            line = pos[0][1]
+            ok = pos == [(p, line) for p in range(line - 1, -1, -1)]
+        else:
+            line = pos[0][0]
+            ok = pos == [(line, p) for p in range(line)]
+        if not ok:
+            raise ValueError(f"{ref.kind} block {ref.k} is not one matrix line")
+        blocks.append((ref.kind, line, slots))
+    roots = [el for el in basis.elements if el.role != "cartan"]
+    root = np.array([el.index - 1 for el in roots])
+    rows = np.array([el.position[0] - 1 for el in roots])
+    cols = np.array([el.position[1] - 1 for el in roots])
+    gather = np.empty(basis.n, dtype=np.intp)
+    gather[root] = rows * N + cols
+    gather[cartan] = N * N + np.arange(N - 1)
+    return IndexMaps(N, root, rows, cols, cartan, gather, tuple(blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -304,15 +388,7 @@ def expand_in_basis(
             f"matrix is not traceless: |tr M| = {abs(trace):.3e} exceeds "
             f"{rtol:.1e} * max(||M||_F, 1) = {rtol * scale:.3e}"
         )
-    coeff = np.zeros(basis.n, dtype=complex)
-    diag_partial = np.cumsum(np.diagonal(M))
-    for el in basis.elements:
-        p, q = el.position
-        if el.role == "cartan":
-            coeff[el.index - 1] = diag_partial[p - 1]
-        else:
-            coeff[el.index - 1] = M[p - 1, q - 1]
-    return coeff
+    return basis.maps.expand(M)
 
 
 def matrix_from_coefficients(a: np.ndarray, basis: OrderedBasis) -> np.ndarray:
@@ -321,8 +397,8 @@ def matrix_from_coefficients(a: np.ndarray, basis: OrderedBasis) -> np.ndarray:
     if a.shape != (basis.n,):
         raise ValueError(f"expected {basis.n} coefficients, got shape {a.shape}")
     N = basis.N
+    maps = basis.maps
     M = np.zeros((N, N), dtype=complex)
-    for el, c in zip(basis.elements, a):
-        if c != 0:
-            M += c * el.matrix
+    M[maps.rows, maps.cols] = a[maps.root]
+    np.fill_diagonal(M, maps.cartan_diagonal(a))
     return M

@@ -19,10 +19,14 @@ system resolves stage by stage without ever inverting A:
   enters only through exponential factors exp(integer linear form).
 
 Two independent routes to u' coexist on purpose and are cross-checked in
-the test suite: :func:`rhs` peels the blocks with closed-form inverse
-adjoint factors (the production path), and :func:`assemble_A_numeric`
-followed by a dense solve is the oracle.  :func:`derive_hierarchy` runs the
-same peel over exact symbolic expressions and returns the closed-form
+the test suite.  The production path works on the N x N matrix M: the
+group element of a root block is I + U with U a single column or row, so
+:func:`rhs` peels a whole block as the conjugation (I - U) M (I + U) (a
+diagonal similarity for the Cartan block), and :func:`assemble_A_prefix`
+builds A(u) for the trust-region monitor from running prefix products.  The
+oracle is :func:`assemble_A_numeric`, built from closed-form adjoint
+exponentials, followed by a dense solve.  :func:`derive_hierarchy` runs the
+adjoint peel over exact symbolic expressions and returns the closed-form
 stage data.
 """
 
@@ -46,6 +50,7 @@ __all__ = [
     "RiccatiStage",
     "StageLocalityError",
     "assemble_A_numeric",
+    "assemble_A_prefix",
     "assemble_A_symbolic",
     "check_A_block_structure",
     "condition_estimate",
@@ -378,49 +383,85 @@ def _derive_from_algebra(alg: Algebra) -> HierarchySchedule:
 # ---------------------------------------------------------------------------
 
 
-def rhs(
-    alg: Algebra,
-    u: np.ndarray,
-    a: np.ndarray,
-    *,
-    u_threshold: float | None = None,
-) -> np.ndarray:
-    """u' for given chart coordinates u and expansion a, by block peeling.
+def rhs(alg: Algebra, u: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """u' for chart coordinates u and a traceless driving matrix M.
 
-    Equivalent to solving A(u) u' = a; never forms or inverts A.  When
-    ``u_threshold`` is given, coordinates beyond it raise
-    :class:`ChartBreakdown` (the chart is no longer trustworthy).
+    Equivalent to solving A(u) u' = a for the expansion a of M; never forms
+    A.  Blocks are peeled in index order: T <- g^-1 T g for the block's
+    group element g, then the block's coefficients are read off T (matrix
+    entries, or partial diagonal sums for the Cartan block) and zeroed.
+    The trace of M is not checked; callers remove it (it lies outside
+    sl(N) and would bias the Cartan read-off).
     """
     u = np.asarray(u, dtype=complex)
-    a = np.asarray(a, dtype=complex)
-    if u.shape != (alg.n,) or a.shape != (alg.n,):
+    N = alg.N
+    if u.shape != (alg.n,) or np.shape(M) != (N, N):
         raise ValueError(
-            f"expected {alg.n}-vectors, got u{u.shape} and a{a.shape}"
+            f"expected a {alg.n}-vector u and a {N}x{N} matrix M, got "
+            f"u{u.shape} and M{np.shape(M)}"
         )
-    if u_threshold is not None:
-        worst = int(np.argmax(np.abs(u)))
-        if abs(u[worst]) > u_threshold:
-            refs = alg.partition.blocks_in_index_order()
-            stage = next(
-                i + 1 for i, ref in enumerate(refs) if worst + 1 in ref.indices
-            )
-            raise ChartBreakdown(
-                f"|u_{worst + 1}| = {abs(u[worst]):.3e} exceeds "
-                f"{u_threshold:.3e}",
-                trigger="u-growth",
-                value=float(abs(u[worst])),
-                generator_index=worst + 1,
-                stage=stage,
-            )
-    T = a.copy()
-    up = np.zeros(alg.n, dtype=complex)
-    for ref in alg.partition.blocks_in_index_order():
-        for l in ref.indices:
-            T = apply_exp_ad(alg.ads[l - 1], -u[l - 1], T)
-        sel = np.asarray(ref.indices) - 1
-        up[sel] = T[sel]
-        T[sel] = 0.0
+    maps = alg.basis.maps
+    T = np.array(M, dtype=complex)
+    up = np.empty(alg.n, dtype=complex)
+    for kind, q, s in maps.blocks:
+        if kind == "upper":  # g = I + v e_q^T, v = u_s on rows q-1, ..., 0
+            v = u[s][::-1]
+            T[:, q] += T[:, :q] @ v
+            T[:q] -= v[:, None] * T[q]
+            up[s] = T[:q, q][::-1]
+            T[:q, q] = 0.0
+        elif kind == "lower":  # g = I + e_q v^T, v = u_s on columns 0, ..., q-1
+            v = u[s]
+            T[:, :q] += T[:, q, None] * v
+            T[q] -= v @ T[:q]
+            up[s] = T[q, :q]
+            T[q, :q] = 0.0
+        else:  # g = diag(exp(w)): T_ij <- T_ij exp(w_j - w_i)
+            w = maps.cartan_diagonal(u)
+            T *= np.exp(w - w[:, None])
+            up[s] = np.cumsum(T.diagonal())[: N - 1]
+            np.fill_diagonal(T, 0.0)
     return up
+
+
+def assemble_A_prefix(alg: Algebra, u: np.ndarray) -> np.ndarray:
+    """A(u) from running prefix products (the trust-region monitor's route).
+
+    Column l is g X_l g^-1 expanded in the basis, with g the product of the
+    factors of all blocks before X_l's own (factors inside one block
+    commute, so they drop out): g[:, p] (x) g^-1[q, :] for X_l = E_pq and
+    the difference of two such terms for H_l.  Matches
+    :func:`assemble_A_numeric` up to round-off.
+    """
+    u = np.asarray(u, dtype=complex)
+    N, n = alg.N, alg.n
+    if u.shape != (n,):
+        raise ValueError(f"expected a {n}-vector, got shape {u.shape}")
+    maps = alg.basis.maps
+    g = np.eye(N, dtype=complex)
+    gi = np.eye(N, dtype=complex)
+    # g X g^-1 for X = E_pq at S[p, q] = stack[p N + q], for X = H_l at
+    # stack[N^2 + l - 1]; maps.gather reads them in basis order
+    stack = np.empty((N * N + N - 1, N, N), dtype=complex)
+    S = stack[: N * N].reshape(N, N, N, N)
+    for kind, q, s in maps.blocks:
+        if kind == "upper":  # g <- g (I + v e_q^T)
+            S[:q, q] = g[:, :q].T[:, :, None] * gi[q]
+            v = u[s][::-1]
+            g[:, q] += g[:, :q] @ v
+            gi[:q] -= v[:, None] * gi[q]
+        elif kind == "lower":  # g <- g (I + e_q v^T)
+            S[q, :q] = g[:, q, None] * gi[:q, None, :]
+            v = u[s]
+            g[:, :q] += g[:, q, None] * v
+            gi[q] -= v @ gi[:q]
+        else:  # g <- g diag(exp(w))
+            P = g.T[:, :, None] * gi[:, None, :]  # P[j] = g[:, j] (x) g^-1[j, :]
+            stack[N * N :] = P[:-1] - P[1:]
+            w = maps.cartan_diagonal(u)
+            g *= np.exp(w)
+            gi *= np.exp(-w)[:, None]
+    return maps.expand(stack.take(maps.gather, axis=0)).T
 
 
 def assemble_A_numeric(alg: Algebra, u: np.ndarray) -> np.ndarray:
@@ -472,10 +513,7 @@ def check_A_block_structure(
     if A is None:
         A = assemble_A_symbolic(alg)
     refs = alg.partition.blocks_in_index_order()
-    stage_of = {}
-    for s, ref in enumerate(refs):
-        for m in ref.indices:
-            stage_of[m] = s
+    stage_of = {m: alg.partition.stage_of(m) - 1 for m in range(1, alg.n + 1)}
     violations: list[str] = []
     n = alg.n
     one = SymbolicExpr.number(1)

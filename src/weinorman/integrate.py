@@ -5,9 +5,9 @@ K = exp(u_1 X_1) ... exp(u_n X_n) through the staged right-hand sides,
 reconstructing K at the requested sample times only.  Charts are local:
 when coordinates blow up or the stage system turns ill-conditioned, the
 accumulated K is frozen as a left factor, u resets to zero, and the
-remaining evolution continues in a fresh chart (the driving matrix gets
-conjugated by the frozen factor, which is exactly what restarting the
-factorization at that point requires).
+remaining evolution continues in a fresh chart (the traceless driving
+matrix gets conjugated by the frozen factor, K_base^-1 M_0 K_base, which is
+exactly what restarting the factorization at that point requires).
 
 `integrate_direct` integrates the matrix equation K' = M(t) K entry-wise
 with the same embedded pair at oracle tolerances — an independent route
@@ -27,13 +27,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .adjoint import Algebra, algebra
+# assemble_A_numeric is the oracle and is never called here; the name stays
+# importable so that tests and the benchmark tracer can patch it and see no
+# calls.
 from .hierarchy import (
     ChartBreakdown,
     assemble_A_numeric,
+    assemble_A_prefix,
     condition_estimate,
     rhs,
 )
-from .signals import CoefficientSignal, ConjugatedSignal
+from .signals import CoefficientSignal
 
 __all__ = [
     "ChartEvent",
@@ -397,15 +401,19 @@ def integrate_wn(
     steps: list[float] = []
     events: list[ChartEvent] = []
 
-    K_base = np.eye(alg.N, dtype=complex)
-    chart_signal: CoefficientSignal = signal
+    eye = np.eye(alg.N, dtype=complex)
+    K_base = eye
+    K_base_inv = eye
     chart_no = 0
     budget = _StepBudget(config.max_steps)
 
     def f(t: float, y: np.ndarray) -> np.ndarray:
-        a = chart_signal.coefficients(t)
-        up = rhs(alg, y[:n], a)
-        return np.concatenate([up, [chart_signal.trace_rate(t)]])
+        M = signal.matrix(t)
+        rate = np.trace(M) / alg.N
+        M0 = M - rate * eye
+        if chart_no:
+            M0 = K_base_inv @ M0 @ K_base
+        return np.concatenate([rhs(alg, y[:n], M0), [rate]])
 
     def record(t: float, y: np.ndarray, h_last: float = 0.0) -> None:
         u = y[:n]
@@ -432,17 +440,17 @@ def integrate_wn(
                 trigger="u-growth",
                 value=float(absu[worst]),
                 generator_index=worst + 1,
-                stage=_stage_of(alg, worst + 1),
+                stage=alg.partition.stage_of(worst + 1),
             )
         if absu[worst] > 0.5:
-            cond = condition_estimate(assemble_A_numeric(alg, u))
+            cond = condition_estimate(assemble_A_prefix(alg, u))
             if cond > config.cond_threshold:
                 raise ChartBreakdown(
                     f"cond(A) = {cond:.3e}",
                     trigger="condition",
                     value=float(cond),
                     generator_index=worst + 1,
-                    stage=_stage_of(alg, worst + 1),
+                    stage=alg.partition.stage_of(worst + 1),
                 )
 
     t_cur = float(config.t0)
@@ -476,7 +484,7 @@ def integrate_wn(
             cond_here = (
                 exc.value
                 if exc.trigger == "condition"
-                else condition_estimate(assemble_A_numeric(alg, u_b))
+                else condition_estimate(assemble_A_prefix(alg, u_b))
             )
             report = SingularityReport(
                 time=t_b,
@@ -490,7 +498,7 @@ def integrate_wn(
                 raise ChartSingularityError(report) from exc
             K_in = K_base @ reconstruct_K(alg, u_b)
             K_base = K_in
-            chart_signal = ConjugatedSignal(signal, K_base)
+            K_base_inv = np.linalg.inv(K_base)
             chart_no += 1
             K_after = K_base @ reconstruct_K(alg, np.zeros(n))
             jump = float(np.linalg.norm(K_after - K_in))
@@ -516,13 +524,6 @@ def integrate_wn(
         n_rejected=budget.rejected,
         seed=seed,
     )
-
-
-def _stage_of(alg: Algebra, m: int) -> int:
-    for s, ref in enumerate(alg.partition.blocks_in_index_order(), start=1):
-        if m in ref.indices:
-            return s
-    raise ValueError(f"generator index {m} outside 1..{alg.n}")
 
 
 def integrate_direct(

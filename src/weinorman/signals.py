@@ -26,7 +26,6 @@ from .basis import expand_in_basis, matrix_from_coefficients
 __all__ = [
     "CoefficientSignal",
     "ConstantSignal",
-    "ConjugatedSignal",
     "FourierSignal",
     "HamiltonianSignal",
     "PiecewiseSignal",
@@ -99,7 +98,11 @@ class ConstantSignal(CoefficientSignal):
     kind = "constant"
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _as_coeff_vector(self.a, self._N, "a"))
+        a = _as_coeff_vector(self.a, self._N, "a")
+        M = matrix_from_coefficients(a, algebra(self._N).basis)
+        M.setflags(write=False)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "_matrix", M)
 
     @property
     def N(self) -> int:
@@ -107,6 +110,9 @@ class ConstantSignal(CoefficientSignal):
 
     def coefficients(self, t: float) -> np.ndarray:
         return self.a
+
+    def matrix(self, t: float) -> np.ndarray:
+        return self._matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,44 +296,6 @@ class HamiltonianSignal(_MatrixSignal):
 
     def matrix(self, t: float) -> np.ndarray:
         return -1j * self.hamiltonian(t)
-
-
-@dataclass(frozen=True, eq=False)
-class ConjugatedSignal(CoefficientSignal):
-    """frame^{-1} M(t) frame for a fixed frame (used after chart re-anchoring).
-
-    Conjugation leaves the trace alone, so ``trace_rate`` passes through.
-    """
-
-    inner: CoefficientSignal
-    frame: np.ndarray
-
-    kind = "conjugated"
-
-    def __post_init__(self):
-        frame = _as_matrix(self.frame, self.inner.N, "frame")
-        object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "_frame_inv", np.linalg.inv(frame))
-
-    @property
-    def N(self) -> int:
-        return self.inner.N
-
-    def coefficients(self, t: float) -> np.ndarray:
-        alg = algebra(self.N)
-        M = self.inner.matrix(t)
-        M0 = M - (np.trace(M) / self.N) * np.eye(self.N)
-        return expand_in_basis(self._frame_inv @ M0 @ self.frame, alg.basis)
-
-    def matrix(self, t: float) -> np.ndarray:
-        return self._frame_inv @ self.inner.matrix(t) @ self.frame
-
-    def trace_rate(self, t: float) -> complex:
-        return self.inner.trace_rate(t)
-
-    @property
-    def domain(self) -> tuple[float, float] | None:
-        return self.inner.domain
 
 
 def random_antihermitian_signal(

@@ -29,6 +29,7 @@ from .basis import (
     OrderedBasis,
     build_ordered_basis,
     build_partition,
+    matrix_from_coefficients,
     structure_constants,
 )
 from .hierarchy import (
@@ -182,7 +183,7 @@ def run_battery(
             u = 0.6 * (rng.standard_normal(alg.n) + 1j * rng.standard_normal(alg.n))
             a = rng.standard_normal(alg.n) + 1j * rng.standard_normal(alg.n)
             dense = np.linalg.solve(assemble_A_numeric(alg, u), a)
-            staged = rhs(alg, u, a)
+            staged = rhs(alg, u, matrix_from_coefficients(a, alg.basis))
             scale = max(1.0, float(np.max(np.abs(dense))))
             worst = max(worst, float(np.max(np.abs(dense - staged))) / scale)
         bound = max(tol_rel, 1e-10)

@@ -22,6 +22,7 @@ from weinorman import (
     derive_hierarchy,
     integrate_direct,
     integrate_wn,
+    matrix_from_coefficients,
     random_antihermitian_signal,
     rhs,
 )
@@ -193,7 +194,7 @@ def test_staged_solve_against_dense():
                     rng.standard_normal(alg.n) + 1j * rng.standard_normal(alg.n)
                 )
                 av = rng.standard_normal(alg.n) + 1j * rng.standard_normal(alg.n)
-                staged = rhs(alg, uv, av)
+                staged = rhs(alg, uv, matrix_from_coefficients(av, alg.basis))
                 dense = np.linalg.solve(assemble_A_numeric(alg, uv), av)
                 err = np.linalg.norm(staged - dense)
                 assert err < 1e-10 * max(np.linalg.norm(dense), 1.0), (

@@ -167,6 +167,8 @@ def test_expand_roundtrip(N, seed):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal(basis.n) + 1j * rng.standard_normal(basis.n)
     M = matrix_from_coefficients(a, basis)
+    loop = sum(c * el.matrix for c, el in zip(a, basis.elements))
+    assert np.array_equal(M, loop)  # the vectorised assembly is exact
     back = expand_in_basis(M, basis)
     assert np.allclose(back, a, atol=1e-12)
     assert np.allclose(matrix_from_coefficients(back, basis), M, atol=1e-12)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from weinorman import (
     CartanStage,
-    ChartBreakdown,
     LinearStage,
     RiccatiStage,
     StageLocalityError,
@@ -23,10 +22,11 @@ from weinorman import (
     check_A_block_structure,
     derive_hierarchy,
     emit,
+    matrix_from_coefficients,
     parse_hierarchy_json,
     rhs,
 )
-from weinorman.hierarchy import _derive_from_algebra
+from weinorman.hierarchy import _derive_from_algebra, assemble_A_prefix
 from weinorman.verify import _corrupted_algebra
 
 a, u, E = SymbolicExpr.a, SymbolicExpr.u, SymbolicExpr.exp_u
@@ -236,7 +236,7 @@ def test_emit_rejects_unknown_format():
 
 
 @given(
-    N=st.integers(min_value=2, max_value=5),
+    N=st.sampled_from([2, 3, 4, 5, 6, 8]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_staged_solve_matches_dense(N, seed):
@@ -244,10 +244,23 @@ def test_staged_solve_matches_dense(N, seed):
     rng = np.random.default_rng(seed)
     uv = 0.7 * (rng.standard_normal(alg.n) + 1j * rng.standard_normal(alg.n))
     av = rng.standard_normal(alg.n) + 1j * rng.standard_normal(alg.n)
-    up = rhs(alg, uv, av)
+    up = rhs(alg, uv, matrix_from_coefficients(av, alg.basis))
     A = assemble_A_numeric(alg, uv)
     dense = np.linalg.solve(A, av)
     assert np.linalg.norm(up - dense) < 1e-10 * max(np.linalg.norm(dense), 1.0)
+
+
+@given(
+    N=st.integers(min_value=2, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_prefix_product_A_matches_oracle(N, seed):
+    alg = algebra(N)
+    rng = np.random.default_rng(seed)
+    uv = 0.7 * (rng.standard_normal(alg.n) + 1j * rng.standard_normal(alg.n))
+    want = assemble_A_numeric(alg, uv)
+    got = assemble_A_prefix(alg, uv)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
@@ -263,26 +276,14 @@ def test_symbolic_schedule_matches_numeric_peel():
     uv = 0.5 * (rng.standard_normal(alg.n) + 1j * rng.standard_normal(alg.n))
     av = rng.standard_normal(alg.n) + 1j * rng.standard_normal(alg.n)
     sym = sched.evaluate_rhs(uv, av)
-    num = rhs(alg, uv, av)
+    num = rhs(alg, uv, matrix_from_coefficients(av, alg.basis))
     assert np.linalg.norm(sym - num) < 1e-10 * max(np.linalg.norm(num), 1.0)
 
 
 def test_rhs_validates_shapes():
     alg = algebra(2)
     with pytest.raises(ValueError, match="3-vector"):
-        rhs(alg, np.zeros(2), np.zeros(3))
-
-
-def test_rhs_chart_breakdown_trigger():
-    alg = algebra(3)
-    uv = np.zeros(8, dtype=complex)
-    uv[2] = 2e6
-    with pytest.raises(ChartBreakdown) as info:
-        rhs(alg, uv, np.ones(8), u_threshold=1e6)
-    assert info.value.trigger == "u-growth"
-    assert info.value.generator_index == 3
-    assert info.value.stage == 2
-    assert info.value.value == pytest.approx(2e6)
+        rhs(alg, np.zeros(2), matrix_from_coefficients(np.zeros(3), alg.basis))
 
 
 # -- factor-matrix block structure ----------------------------------------------
@@ -304,6 +305,12 @@ def test_block_structure_check_reports_violations():
 def test_corrupted_ordering_breaks_stage_locality():
     with pytest.raises(StageLocalityError):
         _derive_from_algebra(_corrupted_algebra())
+
+
+def test_corrupted_ordering_has_no_group_peel():
+    # the group-level peel needs every root block to be one matrix line
+    with pytest.raises(ValueError, match="not one matrix line"):
+        _corrupted_algebra().basis.maps
 
 
 # -- JSON round-trip -------------------------------------------------------------

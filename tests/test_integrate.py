@@ -150,6 +150,31 @@ def test_no_reanchor_aborts_with_report():
     assert "chart" in report.describe()
 
 
+def test_u_growth_breakdown_reports_generator_and_stage():
+    # only a_3 = 1 on sl(3): u_3 = t is the sole growing coordinate, in J_2
+    a = np.zeros(8)
+    a[2] = 1.0
+    cfg = IntegrationConfig(t1=1.0, samples=11, u_threshold=0.5, reanchor=False)
+    with pytest.raises(ChartSingularityError) as info:
+        integrate_wn(ConstantSignal(3, a), cfg)
+    report = info.value.report
+    assert report.trigger == "u-growth"
+    assert report.generator_index == 3
+    assert report.stage == 2
+    assert report.value == pytest.approx(report.time) and report.value > 0.5
+
+
+def test_integrate_wn_never_calls_oracle_route(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("oracle route called from integrate_wn")
+
+    monkeypatch.setattr("weinorman.hierarchy.apply_exp_ad", forbidden)
+    monkeypatch.setattr("weinorman.integrate.assemble_A_numeric", forbidden)
+    traj = integrate_wn(_tan_signal(), IntegrationConfig(t1=2.0, samples=41))
+    assert traj.chart_events
+    assert np.linalg.norm(traj.K[-1] - _tan_K(2.0)) < 1e-5
+
+
 def test_sample_grid_is_preserved_across_charts():
     cfg = IntegrationConfig(t1=2.0, samples=41)
     traj = integrate_wn(_tan_signal(), cfg)

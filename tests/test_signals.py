@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from weinorman import (
-    ConjugatedSignal,
     ConstantSignal,
     FourierSignal,
     HamiltonianSignal,
     PiecewiseSignal,
     PolynomialSignal,
-    algebra,
     matrix_from_coefficients,
     random_antihermitian_signal,
 )
@@ -119,23 +117,6 @@ def test_piecewise_validation():
         PiecewiseSignal(2, [0.0, 1.0], good[:2])
     with pytest.raises(ValueError, match="rule"):
         PiecewiseSignal(2, [0.0, 0.3, 0.6, 1.0], good, rule="nearest")
-
-
-def test_conjugated_signal():
-    inner = HamiltonianSignal(2, np.array([[1.0, 2.0], [2.0, -1.0]]))
-    theta = 0.6
-    Q = np.array(
-        [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]],
-        dtype=complex,
-    )
-    sig = ConjugatedSignal(inner, Q)
-    t = 0.2
-    assert np.allclose(sig.matrix(t), Q.conj().T @ inner.matrix(t) @ Q)
-    assert sig.trace_rate(t) == inner.trace_rate(t)
-    # coefficient view reproduces the traceless part of the conjugated matrix
-    alg = algebra(2)
-    M = matrix_from_coefficients(sig.coefficients(t), alg.basis)
-    assert np.allclose(M, sig.matrix(t) - np.trace(sig.matrix(t)) / 2 * np.eye(2))
 
 
 def test_random_signal_norm_bound_and_reproducibility():
