@@ -32,7 +32,6 @@ from .basis import (
 )
 from .hierarchy import (
     CartanStage,
-    ChartBreakdown,
     HierarchySchedule,
     LinearStage,
     RiccatiStage,
@@ -47,7 +46,6 @@ from .hierarchy import (
     rhs,
 )
 from .integrate import (
-    ChartEvent,
     ChartSingularityError,
     ComparisonReport,
     IntegrationConfig,
@@ -78,8 +76,6 @@ __all__ = [
     "BasisElement",
     "BlockRef",
     "CartanStage",
-    "ChartBreakdown",
-    "ChartEvent",
     "ChartSingularityError",
     "CoefficientSignal",
     "ComparisonReport",

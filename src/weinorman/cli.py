@@ -20,6 +20,7 @@ import argparse
 import configparser
 import json
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -331,12 +332,8 @@ def cmd_integrate(args) -> int:
     try:
         N, signal, cfg, cfg_seed = load_run_config(args.config)
         if args.no_reanchor:
-            from dataclasses import replace
-
             cfg = replace(cfg, reanchor=False)
         if args.tol_abs is not None or args.tol_rel is not None:
-            from dataclasses import replace
-
             cfg = replace(
                 cfg,
                 atol=args.tol_abs if args.tol_abs is not None else cfg.atol,
@@ -359,17 +356,7 @@ def cmd_integrate(args) -> int:
     try:
         traj = integrate_wn(signal, cfg, seed=seed)
     except ChartSingularityError as exc:
-        report = {
-            "singularity": {
-                "time": exc.report.time,
-                "trigger": exc.report.trigger,
-                "value": exc.report.value,
-                "generator_index": exc.report.generator_index,
-                "stage": exc.report.stage,
-                "condition": exc.report.condition,
-                "action": "abort",
-            }
-        }
+        report = {"singularity": {**asdict(exc.report), "action": "abort"}}
         print(json.dumps(report, indent=2))
         print(f"integrate: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -388,8 +375,7 @@ def cmd_integrate(args) -> int:
     ]
     for ev in traj.chart_events:
         lines.append(
-            f"chart switch at t={ev.time:.9f} ({ev.report.trigger} "
-            f"{ev.report.value:.3e}, jump {ev.jump:.3e})"
+            f"chart switch at t={ev.time:.9f} ({ev.trigger} {ev.value:.3e})"
         )
     if args.check_oracle:
         oracle = integrate_direct(signal, cfg)

@@ -44,7 +44,6 @@ from .symexpr import RationalComplex, SymbolicExpr
 
 __all__ = [
     "CartanStage",
-    "ChartBreakdown",
     "HierarchySchedule",
     "LinearStage",
     "RiccatiStage",
@@ -67,30 +66,6 @@ _HALF = Fraction(1, 2)
 
 class StageLocalityError(RuntimeError):
     """A stage's equations involve unknowns of a later stage (ordering bug)."""
-
-
-class ChartBreakdown(RuntimeError):
-    """The current chart's coordinates left the trust region.
-
-    Attributes carry what triggered the abort: ``trigger`` is ``"u-growth"``
-    or ``"condition"``, ``value`` the offending magnitude, and
-    ``generator_index`` / ``stage`` locate the worst coordinate.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        trigger: str,
-        value: float,
-        generator_index: int | None = None,
-        stage: int | None = None,
-    ):
-        super().__init__(message)
-        self.trigger = trigger
-        self.value = value
-        self.generator_index = generator_index
-        self.stage = stage
 
 
 # ---------------------------------------------------------------------------

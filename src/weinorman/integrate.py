@@ -22,7 +22,7 @@ on the same grid compare sample-by-sample without interpolation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .adjoint import Algebra, algebra
 # importable so that tests and the benchmark tracer can patch it and see no
 # calls.
 from .hierarchy import (
-    ChartBreakdown,
     assemble_A_numeric,
     assemble_A_prefix,
     condition_estimate,
@@ -40,7 +39,6 @@ from .hierarchy import (
 from .signals import CoefficientSignal
 
 __all__ = [
-    "ChartEvent",
     "ChartSingularityError",
     "ComparisonReport",
     "IntegrationConfig",
@@ -61,7 +59,7 @@ class StepSizeUnderflow(RuntimeError):
 
 @dataclass(frozen=True)
 class SingularityReport:
-    """Where and why a chart was abandoned."""
+    """Where and why a chart was abandoned (and, on re-anchoring, switched)."""
 
     time: float
     trigger: str                 # "u-growth" or "condition"
@@ -80,15 +78,6 @@ class SingularityReport:
             f"chart breakdown at t = {self.time:.9f}: {self.trigger} "
             f"({self.value:.3e}) on {where}, cond(A) = {self.condition:.3e}"
         )
-
-
-@dataclass(frozen=True)
-class ChartEvent:
-    """A re-anchoring: chart frozen into the left factor at ``time``."""
-
-    time: float
-    report: SingularityReport
-    jump: float  # ||K just before - K just after||_F, 0 up to round-off
 
 
 class ChartSingularityError(RuntimeError):
@@ -140,16 +129,26 @@ class IntegrationConfig:
         return np.linspace(self.t0, self.t1, self.samples)
 
     def validate(self) -> None:
-        if not self.t1 > self.t0:
-            raise ValueError(f"need t1 > t0, got [{self.t0}, {self.t1}]")
+        # every check is a comparison that NaN fails, so NaN is rejected too
+        if not (np.isfinite(self.t0) and np.isfinite(self.t1) and self.t1 > self.t0):
+            raise ValueError(f"need finite t1 > t0, got [{self.t0}, {self.t1}]")
         if self.method not in ("adaptive", "rk4"):
             raise ValueError(
                 f"unknown method {self.method!r} (expected adaptive or rk4)"
             )
-        if self.atol <= 0 or self.rtol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.fixed_step <= 0:
-            raise ValueError("fixed_step must be positive")
+        if not (0 < self.atol < np.inf and 0 < self.rtol < np.inf):
+            raise ValueError("tolerances must be positive and finite")
+        for name in ("fixed_step", "max_step", "first_step", "u_threshold"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+        if not self.cond_threshold > 1:
+            raise ValueError(
+                f"cond_threshold must exceed 1 (cond(A) >= 1 always), "
+                f"got {self.cond_threshold}"
+            )
+        if not self.max_steps >= 1:
+            raise ValueError(f"max_steps must be at least 1, got {self.max_steps}")
         self.grid()  # surfaces samples / sample_times problems early
 
 
@@ -232,11 +231,13 @@ class _StepBudget:
 
 
 def _drive(f, t, y, targets, cfg, budget, record, monitor):
-    """Advance through ``targets`` (strictly increasing, all > t).
+    """Advance through ``targets`` (strictly increasing, all >= t).
 
-    Calls ``record(t, y)`` exactly at each target and ``monitor(t, y)``
-    after every accepted step; a :class:`ChartBreakdown` raised by the
-    monitor is annotated with ``.time``/``.state`` and propagated.
+    Calls ``record(target, y, h_last)`` exactly at each target and
+    ``monitor(t, y)`` after every accepted step.  Returns ``(t, y, report)``:
+    ``report`` is the first non-None value the monitor returned (the run
+    stops right after that step, before recording), or None once every
+    target is recorded.
     """
     adaptive = cfg.method == "adaptive"
     if adaptive:
@@ -250,11 +251,11 @@ def _drive(f, t, y, targets, cfg, budget, record, monitor):
     for target in targets:
         while t < target - tiny:
             h_try = min(h, target - t)
-            if adaptive and h_try < tiny:
-                raise StepSizeUnderflow(
-                    f"step {h_try:.3e} below resolvable scale at t = {t:.9f}"
-                )
             if adaptive:
+                if h_try < tiny:
+                    raise StepSizeUnderflow(
+                        f"step {h_try:.3e} below resolvable scale at t = {t:.9f}"
+                    )
                 k = [f(t, y)]
                 for i in range(1, 7):
                     yi = y + h_try * (_DP_A[i] @ np.array(k[:i]))
@@ -266,50 +267,38 @@ def _drive(f, t, y, targets, cfg, budget, record, monitor):
                     errnorm = np.inf
                 else:
                     errnorm = _error_norm(err, y, y_new, cfg.atol, cfg.rtol)
-                if errnorm <= 1.0:
-                    t_new = t + h_try
-                    if abs(t_new - target) <= tiny:
-                        t_new = target
-                    t, y = t_new, y_new
-                    h_last = h_try
-                    budget.accept()
-                    factor = 5.0 if errnorm == 0 else min(
-                        5.0, max(0.2, 0.9 * errnorm ** -0.2)
-                    )
-                    h = min(h_try * factor, cfg.max_step)
-                    _run_monitor(monitor, t, y)
-                else:
+                if errnorm > 1.0:
                     budget.rejected += 1
                     shrink = 0.25 if not np.isfinite(errnorm) else max(
                         0.1, min(0.5, 0.9 * errnorm ** -0.2)
                     )
                     h = h_try * shrink
+                    continue
+                factor = 5.0 if errnorm == 0 else min(
+                    5.0, max(0.2, 0.9 * errnorm ** -0.2)
+                )
+                h = min(h_try * factor, cfg.max_step)
             else:
                 k1 = f(t, y)
                 k2 = f(t + h_try / 2, y + (h_try / 2) * k1)
                 k3 = f(t + h_try / 2, y + (h_try / 2) * k2)
                 k4 = f(t + h_try, y + h_try * k3)
-                y = y + (h_try / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-                t_new = t + h_try
-                if abs(t_new - target) <= tiny:
-                    t_new = target
-                t = t_new
-                h_last = h_try
-                budget.accept()
-                _run_monitor(monitor, t, y)
+                y_new = y + (h_try / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+                if not np.all(np.isfinite(y_new.view(float))):
+                    raise RuntimeError(
+                        f"RK4 step from t = {t:.9f} gave a non-finite state; "
+                        f"fixed_step = {cfg.fixed_step} is too coarse here"
+                    )
+            t_new = t + h_try
+            if abs(t_new - target) <= tiny:
+                t_new = target
+            t, y, h_last = t_new, y_new, h_try
+            budget.accept()
+            report = monitor(t, y)
+            if report is not None:
+                return t, y, report
         record(target, y, h_last)
-    return t, y
-
-
-def _run_monitor(monitor, t, y) -> None:
-    if monitor is None:
-        return
-    try:
-        monitor(t, y)
-    except ChartBreakdown as exc:
-        exc.time = t
-        exc.state = y
-        raise
+    return t, y, None
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +328,7 @@ class Trajectory:
     unitarity_defect: np.ndarray
     det_defect: np.ndarray
     step_size: np.ndarray
-    chart_events: tuple[ChartEvent, ...]
+    chart_events: tuple[SingularityReport, ...]
     method: str
     n_steps: int
     n_rejected: int
@@ -360,11 +349,68 @@ class Trajectory:
         return trajectory_from_json(text)
 
 
-def _sample_diagnostics(K_phys: np.ndarray, K_engine: np.ndarray) -> tuple[float, float]:
-    N = K_phys.shape[0]
-    unito = float(np.linalg.norm(K_phys.conj().T @ K_phys - np.eye(N)))
-    deto = float(abs(np.linalg.det(K_engine) - 1.0))
-    return unito, deto
+class _Samples:
+    """Sample rows recorded by either route, assembled into a Trajectory."""
+
+    def __init__(self, N: int, charted: bool):
+        self.N = N
+        self.charted = charted
+        self.t: list[float] = []
+        self.K: list[np.ndarray] = []
+        self.phase: list[complex] = []
+        self.unitarity: list[float] = []
+        self.det: list[float] = []
+        self.step: list[float] = []
+        self.u: list[np.ndarray] = []
+        self.chart: list[int] = []
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def add(self, t, K_phys, K_engine, scale, h_last, u=None, chart=0) -> None:
+        """One sample; the det defect is taken on the traceless K_engine."""
+        self.t.append(t)
+        self.K.append(K_phys)
+        self.phase.append(complex(scale))
+        self.unitarity.append(
+            float(np.linalg.norm(K_phys.conj().T @ K_phys - np.eye(self.N)))
+        )
+        self.det.append(float(abs(np.linalg.det(K_engine) - 1.0)))
+        self.step.append(h_last)
+        if self.charted:
+            self.u.append(u.copy())
+            self.chart.append(chart)
+
+    def trajectory(self, method, budget, seed, events=()) -> Trajectory:
+        return Trajectory(
+            N=self.N,
+            t=np.array(self.t),
+            K=np.array(self.K),
+            u=np.array(self.u) if self.charted else None,
+            phase_factor=np.array(self.phase),
+            chart_index=np.array(self.chart, dtype=int) if self.charted else None,
+            unitarity_defect=np.array(self.unitarity),
+            det_defect=np.array(self.det),
+            step_size=np.array(self.step),
+            chart_events=tuple(events),
+            method=method,
+            n_steps=budget.accepted,
+            n_rejected=budget.rejected,
+            seed=seed,
+        )
+
+
+def _sample_grid(signal: CoefficientSignal, config: IntegrationConfig) -> list[float]:
+    """Validate ``config`` against the signal's domain; the sample times."""
+    config.validate()
+    if signal.domain is not None:
+        lo, hi = signal.domain
+        if config.t0 < lo - 1e-12 or config.t1 > hi + 1e-12:
+            raise ValueError(
+                f"integration window [{config.t0}, {config.t1}] outside the "
+                f"signal domain [{lo}, {hi}]"
+            )
+    return config.grid().tolist()
 
 
 def integrate_wn(
@@ -379,27 +425,11 @@ def integrate_wn(
     :class:`ChartSingularityError` on breakdown when re-anchoring is
     disabled, :class:`StepSizeUnderflow` if the controller stalls.
     """
-    config.validate()
-    if signal.domain is not None:
-        lo, hi = signal.domain
-        if config.t0 < lo - 1e-12 or config.t1 > hi + 1e-12:
-            raise ValueError(
-                f"integration window [{config.t0}, {config.t1}] outside the "
-                f"signal domain [{lo}, {hi}]"
-            )
+    grid = _sample_grid(signal, config)
     alg = algebra(signal.N)
     n = alg.n
-    grid = config.grid()
-
-    ts: list[float] = []
-    us: list[np.ndarray] = []
-    Ks: list[np.ndarray] = []
-    phases: list[complex] = []
-    charts: list[int] = []
-    unit_def: list[float] = []
-    det_def: list[float] = []
-    steps: list[float] = []
-    events: list[ChartEvent] = []
+    samples = _Samples(alg.N, charted=True)
+    events: list[SingularityReport] = []
 
     eye = np.eye(alg.N, dtype=complex)
     K_base = eye
@@ -415,115 +445,54 @@ def integrate_wn(
             M0 = K_base_inv @ M0 @ K_base
         return np.concatenate([rhs(alg, y[:n], M0), [rate]])
 
-    def record(t: float, y: np.ndarray, h_last: float = 0.0) -> None:
-        u = y[:n]
-        K_engine = K_base @ reconstruct_K(alg, u)
+    def record(t: float, y: np.ndarray, h_last: float) -> None:
+        K_engine = K_base @ reconstruct_K(alg, y[:n])
         scale = np.exp(y[n])
-        K_phys = scale * K_engine
-        uni, det = _sample_diagnostics(K_phys, K_engine)
-        ts.append(t)
-        us.append(u.copy())
-        Ks.append(K_phys)
-        phases.append(complex(scale))
-        charts.append(chart_no)
-        unit_def.append(uni)
-        det_def.append(det)
-        steps.append(h_last)
+        samples.add(t, scale * K_engine, K_engine, scale, h_last, y[:n], chart_no)
 
-    def monitor(t: float, y: np.ndarray) -> None:
+    def monitor(t: float, y: np.ndarray) -> SingularityReport | None:
+        """The trust-region check: u-growth first, then cond(A) once |u| > 0.5."""
         u = y[:n]
         absu = np.abs(u)
         worst = int(np.argmax(absu))
-        if absu[worst] > config.u_threshold:
-            raise ChartBreakdown(
-                f"|u_{worst + 1}| = {absu[worst]:.3e}",
-                trigger="u-growth",
-                value=float(absu[worst]),
-                generator_index=worst + 1,
-                stage=alg.partition.stage_of(worst + 1),
-            )
-        if absu[worst] > 0.5:
-            cond = condition_estimate(assemble_A_prefix(alg, u))
-            if cond > config.cond_threshold:
-                raise ChartBreakdown(
-                    f"cond(A) = {cond:.3e}",
-                    trigger="condition",
-                    value=float(cond),
-                    generator_index=worst + 1,
-                    stage=alg.partition.stage_of(worst + 1),
-                )
+        grown = absu[worst] > config.u_threshold
+        if not (grown or absu[worst] > 0.5):
+            return None
+        cond = condition_estimate(assemble_A_prefix(alg, u))
+        if grown:
+            trigger, value = "u-growth", float(absu[worst])
+        elif cond > config.cond_threshold:
+            trigger, value = "condition", cond
+        else:
+            return None
+        return SingularityReport(
+            time=float(t),
+            trigger=trigger,
+            value=value,
+            generator_index=worst + 1,
+            stage=alg.partition.stage_of(worst + 1),
+            condition=cond,
+        )
 
-    t_cur = float(config.t0)
-    y_cur = np.zeros(n + 1, dtype=complex)
-    all_targets = [float(g) for g in grid]
-    if all_targets and abs(all_targets[0] - t_cur) <= 1e-14 * max(1.0, abs(t_cur)):
-        record(t_cur, y_cur)
-        all_targets = all_targets[1:]
-        offset = 1
-    else:
-        offset = 0
+    t = float(config.t0)
+    y = np.zeros(n + 1, dtype=complex)
+    # records land strictly in grid order, so len(samples) tracks progress
+    # through the grid across chart switches
+    while True:
+        t, y, report = _drive(
+            f, t, y, grid[len(samples) :], config, budget, record, monitor
+        )
+        if report is None:
+            break
+        if not config.reanchor:
+            raise ChartSingularityError(report)
+        K_base = K_base @ reconstruct_K(alg, y[:n])
+        K_base_inv = np.linalg.inv(K_base)
+        chart_no += 1
+        events.append(report)
+        y = np.concatenate([np.zeros(n, dtype=complex), [y[n]]])
 
-    # records land strictly in grid order, so len(ts) tracks progress
-    # through the target list across chart switches
-    while len(ts) - offset < len(all_targets):
-        try:
-            t_cur, y_cur = _drive(
-                f,
-                t_cur,
-                y_cur,
-                all_targets[len(ts) - offset :],
-                config,
-                budget,
-                record,
-                monitor,
-            )
-        except ChartBreakdown as exc:
-            t_b = float(exc.time)
-            y_b = exc.state
-            u_b = y_b[:n]
-            cond_here = (
-                exc.value
-                if exc.trigger == "condition"
-                else condition_estimate(assemble_A_prefix(alg, u_b))
-            )
-            report = SingularityReport(
-                time=t_b,
-                trigger=exc.trigger,
-                value=exc.value,
-                generator_index=exc.generator_index,
-                stage=exc.stage,
-                condition=float(cond_here),
-            )
-            if not config.reanchor:
-                raise ChartSingularityError(report) from exc
-            K_in = K_base @ reconstruct_K(alg, u_b)
-            K_base = K_in
-            K_base_inv = np.linalg.inv(K_base)
-            chart_no += 1
-            K_after = K_base @ reconstruct_K(alg, np.zeros(n))
-            jump = float(np.linalg.norm(K_after - K_in))
-            events.append(ChartEvent(time=t_b, report=report, jump=jump))
-            y_cur = np.concatenate(
-                [np.zeros(n, dtype=complex), [y_b[n]]]
-            )
-            t_cur = t_b
-
-    return Trajectory(
-        N=alg.N,
-        t=np.array(ts),
-        K=np.array(Ks),
-        u=np.array(us),
-        phase_factor=np.array(phases),
-        chart_index=np.array(charts, dtype=int),
-        unitarity_defect=np.array(unit_def),
-        det_defect=np.array(det_def),
-        step_size=np.array(steps),
-        chart_events=tuple(events),
-        method=config.method,
-        n_steps=budget.accepted,
-        n_rejected=budget.rejected,
-        seed=seed,
-    )
+    return samples.trajectory(config.method, budget, seed, events)
 
 
 def integrate_direct(
@@ -540,68 +509,28 @@ def integrate_direct(
     ``config.method`` — the oracle must dominate whatever it is checking.
     Shares the sample grid with ``config`` so comparisons are gridwise.
     """
-    config.validate()
-    if signal.domain is not None:
-        lo, hi = signal.domain
-        if config.t0 < lo - 1e-12 or config.t1 > hi + 1e-12:
-            raise ValueError(
-                f"integration window [{config.t0}, {config.t1}] outside the "
-                f"signal domain [{lo}, {hi}]"
-            )
+    grid = _sample_grid(signal, config)
     N = signal.N
-    grid = config.grid()
     oracle_cfg = replace(
         config, method="adaptive", atol=atol, rtol=rtol, first_step=None
     )
-
-    ts: list[float] = []
-    Ks: list[np.ndarray] = []
-    phases: list[complex] = []
-    unit_def: list[float] = []
-    det_def: list[float] = []
-    steps: list[float] = []
+    samples = _Samples(N, charted=False)
 
     def f(t: float, y: np.ndarray) -> np.ndarray:
-        K = y[: N * N].reshape(N, N)
-        dK = signal.matrix(t) @ K
-        return np.concatenate([dK.ravel(), [signal.trace_rate(t)]])
+        M = signal.matrix(t)
+        dK = M @ y[: N * N].reshape(N, N)
+        return np.concatenate([dK.ravel(), [np.trace(M) / N]])
 
-    def record(t: float, y: np.ndarray, h_last: float = 0.0) -> None:
+    def record(t: float, y: np.ndarray, h_last: float) -> None:
         K = y[: N * N].reshape(N, N)
         scale = np.exp(y[N * N])
-        uni, det = _sample_diagnostics(K, K / scale)
-        ts.append(t)
-        Ks.append(K.copy())
-        phases.append(complex(scale))
-        unit_def.append(uni)
-        det_def.append(det)
-        steps.append(h_last)
+        samples.add(t, K.copy(), K / scale, scale, h_last)
 
-    t_cur = float(config.t0)
-    y_cur = np.concatenate([np.eye(N, dtype=complex).ravel(), [0j]])
+    y = np.concatenate([np.eye(N, dtype=complex).ravel(), [0j]])
     budget = _StepBudget(config.max_steps)
-    pending = [float(g) for g in grid]
-    if pending and abs(pending[0] - t_cur) <= 1e-14 * max(1.0, abs(t_cur)):
-        record(t_cur, y_cur)
-        pending = pending[1:]
-    _drive(f, t_cur, y_cur, pending, oracle_cfg, budget, record, None)
-
-    return Trajectory(
-        N=N,
-        t=np.array(ts),
-        K=np.array(Ks),
-        u=None,
-        phase_factor=np.array(phases),
-        chart_index=None,
-        unitarity_defect=np.array(unit_def),
-        det_defect=np.array(det_def),
-        step_size=np.array(steps),
-        chart_events=(),
-        method="adaptive",
-        n_steps=budget.accepted,
-        n_rejected=budget.rejected,
-        seed=seed,
-    )
+    _drive(f, float(config.t0), y, grid, oracle_cfg, budget, record,
+           lambda t, y: None)
+    return samples.trajectory("adaptive", budget, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +603,9 @@ def compare(a: Trajectory, b: Trajectory) -> ComparisonReport:
 # serialization
 # ---------------------------------------------------------------------------
 
-TRAJECTORY_SCHEMA = "wn-trajectory/1"
+TRAJECTORY_SCHEMA = "wn-trajectory/2"
+# /1 files also carried a chart-event "jump" (always 0); the reader ignores it
+_READABLE_SCHEMAS = ("wn-trajectory/1", TRAJECTORY_SCHEMA)
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
@@ -778,18 +709,7 @@ def trajectory_to_json(traj: Trajectory) -> str:
         "unitarity_defect": [float(x) for x in traj.unitarity_defect],
         "det_defect": [float(x) for x in traj.det_defect],
         "step_size": [float(x) for x in traj.step_size],
-        "chart_events": [
-            {
-                "time": ev.time,
-                "jump": ev.jump,
-                "trigger": ev.report.trigger,
-                "value": ev.report.value,
-                "generator_index": ev.report.generator_index,
-                "stage": ev.report.stage,
-                "condition": ev.report.condition,
-            }
-            for ev in traj.chart_events
-        ],
+        "chart_events": [asdict(ev) for ev in traj.chart_events],
     }
     return json.dumps(obj, indent=2) + "\n"
 
@@ -799,7 +719,7 @@ def trajectory_from_json(text: str) -> Trajectory:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict) or obj.get("schema") != TRAJECTORY_SCHEMA:
+    if not isinstance(obj, dict) or obj.get("schema") not in _READABLE_SCHEMAS:
         raise ValueError(
             f"unsupported schema {obj.get('schema')!r} "
             f"(expected {TRAJECTORY_SCHEMA!r})"
@@ -815,20 +735,9 @@ def trajectory_from_json(text: str) -> Trajectory:
     u = None
     if obj["u"] is not None:
         u = np.array([[complex(re, im) for re, im in row] for row in obj["u"]])
+    names = [fld.name for fld in fields(SingularityReport)]
     events = tuple(
-        ChartEvent(
-            time=ev["time"],
-            jump=ev["jump"],
-            report=SingularityReport(
-                time=ev["time"],
-                trigger=ev["trigger"],
-                value=ev["value"],
-                generator_index=ev["generator_index"],
-                stage=ev["stage"],
-                condition=ev["condition"],
-            ),
-        )
-        for ev in obj["chart_events"]
+        SingularityReport(**{k: ev[k] for k in names}) for ev in obj["chart_events"]
     )
     return Trajectory(
         N=int(obj["N"]),

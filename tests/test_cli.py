@@ -109,7 +109,7 @@ def test_integrate_json_config_deterministic(tmp_path, capsys):
     capsys.readouterr()
     assert out1.read_bytes() == out2.read_bytes()
     obj = json.loads(out1.read_text())
-    assert obj["schema"] == "wn-trajectory/1"
+    assert obj["schema"] == "wn-trajectory/2"
     assert obj["seed"] == 7
     assert len(obj["t"]) == 11
 
@@ -125,6 +125,30 @@ def test_integrate_rejects_bad_configs(tmp_path, capsys):
     ini_piecewise.write_text("[run]\nn = 2\n\n[signal]\nkind = piecewise\n")
     assert main(["integrate", "--config", str(ini_piecewise)]) == EXIT_VALIDATION
     assert "JSON" in capsys.readouterr().err
+
+    out = tmp_path / "traj.json"
+    for line in ("t0 = -inf", "max_step = 0", "max_step = -1", "first_step = -0.1",
+                 "atol = nan", "rtol = inf", "max_steps = 0",
+                 "u_threshold = nan", "cond_threshold = 1"):
+        path = tmp_path / "bad_value.ini"
+        path.write_text(TAN_INI.replace("samples = 41", f"samples = 41\n{line}"))
+        code = main(["integrate", "--config", str(path), "--out", str(out)])
+        assert code == EXIT_VALIDATION, line
+        assert not out.exists()
+    capsys.readouterr()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_integrate_rk4_over_a_pole_fails_without_output(tmp_path, capsys):
+    path = tmp_path / "rk4.ini"
+    path.write_text(
+        TAN_INI.replace("t1 = 2.0\nsamples = 41", "t1 = 3.0\nsamples = 7\n"
+                        "method = rk4\nfixed_step = 0.01")
+    )
+    out = tmp_path / "traj.json"
+    assert main(["integrate", "--config", str(path), "--out", str(out)]) == EXIT_NUMERICAL
+    assert not out.exists()
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_integrate_piecewise_json_config(tmp_path, capsys):
@@ -178,6 +202,15 @@ def test_compare_self(tan_ini, tmp_path, capsys):
     out = tmp_path / "t.json"
     assert main(["integrate", "--config", tan_ini, "--out", str(out)]) == EXIT_OK
     assert main(["compare", str(out), str(out)]) == EXIT_OK
+    assert "max ||dK||_F = 0.000e+00" in capsys.readouterr().out
+    # a schema /1 export, whose events carry a constant "jump", still loads
+    obj = json.loads(out.read_text())
+    obj["schema"] = "wn-trajectory/1"
+    for ev in obj["chart_events"]:
+        ev["jump"] = 0.0
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(obj))
+    assert main(["compare", str(old), str(out)]) == EXIT_OK
     assert "max ||dK||_F = 0.000e+00" in capsys.readouterr().out
 
 

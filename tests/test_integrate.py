@@ -1,5 +1,7 @@
 """Product-of-exponentials integration against closed forms and the dense oracle."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -128,8 +130,7 @@ def test_reanchor_walks_through_singularity():
     assert traj.chart_events
     ev = traj.chart_events[0]
     assert abs(ev.time - np.pi / 2) < 1e-3
-    assert ev.jump < 1e-8
-    assert ev.report.trigger in ("u-growth", "condition")
+    assert ev.trigger in ("u-growth", "condition")
     assert traj.chart_index[-1] >= 1
     assert traj.chart_index[0] == 0
     # accuracy survives the chart switch; the re-anchor product near the
@@ -192,6 +193,15 @@ def test_rk4_agrees_with_adaptive():
     assert compare(fixed, adaptive).max_frobenius < 1e-9
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_rk4_stepping_over_a_pole_raises():
+    # the step at 1e-2 jumps the pole of u_1 = tan t at pi/2; the chart
+    # frozen there is blown up and later steps turn non-finite
+    cfg = IntegrationConfig(t1=3.0, samples=7, method="rk4", fixed_step=1e-2)
+    with pytest.raises(RuntimeError, match="fixed_step = 0.01"):
+        integrate_wn(_tan_signal(), cfg)
+
+
 def test_rk4_error_scales_with_h4():
     sig = _rotation_signal()
     errs = []
@@ -206,10 +216,12 @@ def test_rk4_error_scales_with_h4():
 
 
 def test_custom_sample_times():
-    pts = (0.0, 0.125, 0.5, 0.9)
-    cfg = IntegrationConfig(t1=1.0, sample_times=pts)
-    traj = integrate_wn(_rotation_signal(), cfg)
-    assert np.array_equal(traj.t, np.array(pts))
+    # the second grid starts after t0, so its first sample takes steps
+    for pts in ((0.0, 0.125, 0.5, 0.9), (0.3, 0.9)):
+        cfg = IntegrationConfig(t1=1.0, sample_times=pts)
+        traj = integrate_wn(_rotation_signal(), cfg)
+        assert np.array_equal(traj.t, np.array(pts))
+        assert np.linalg.norm(traj.K[0] - _rotation_K(pts[0])) < 1e-9
 
 
 def test_config_validation():
@@ -225,6 +237,23 @@ def test_config_validation():
         IntegrationConfig(t1=1.0, sample_times=(0.0, 2.0)).validate()
     with pytest.raises(ValueError):
         IntegrationConfig(atol=-1.0).validate()
+    for bad in (
+        {"t1": np.inf},
+        {"max_step": 0.0},
+        {"max_step": -1.0},
+        {"first_step": -0.1},
+        {"fixed_step": np.nan},
+        {"atol": np.nan},
+        {"rtol": np.inf},
+        {"max_steps": 0},
+        {"u_threshold": np.nan},
+        {"cond_threshold": 1.0},
+        {"cond_threshold": 0.5},
+    ):
+        field = next(iter(bad))
+        with pytest.raises(ValueError, match="tolerances" if "tol" in field else field):
+            IntegrationConfig(**bad).validate()
+    IntegrationConfig(max_step=np.inf, u_threshold=np.inf).validate()
 
 
 def test_step_budget_is_enforced():
@@ -259,6 +288,14 @@ def test_json_roundtrip_and_stability():
     assert len(back.chart_events) == len(traj.chart_events)
     assert back.chart_events[0].time == traj.chart_events[0].time
     assert back.to_json() == text  # byte-stable re-export
+    # schema /1 exports carry a constant "jump" per event; it is ignored
+    obj = json.loads(text)
+    obj["schema"] = "wn-trajectory/1"
+    for ev in obj["chart_events"]:
+        ev["jump"] = 0.0
+    old = Trajectory.from_json(json.dumps(obj))
+    assert old.chart_events == traj.chart_events
+    assert old.to_json() == text
 
 
 def test_csv_roundtrip():
