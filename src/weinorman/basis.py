@@ -226,8 +226,12 @@ class IndexMaps:
 
     ``root`` holds the 0-based slots of the root units E_pq in basis order
     and ``rows``/``cols`` their entries (p - 1, q - 1); ``cartan`` selects
-    the slots of H_1, ..., H_(N-1).  ``gather`` maps each slot into the
-    flattened matrix followed by its N - 1 partial diagonal sums.
+    the slots of H_1, ..., H_(N-1), and ``upper``/``lower`` the slots of the
+    units above/below the diagonal, whose entries in the flattened matrix
+    are ``upper_at``/``lower_at``; the masks ``above``/``below`` are 1
+    strictly above/below the diagonal and 0 elsewhere.  ``gather`` maps each
+    slot into the flattened matrix followed by its N - 1 partial diagonal
+    sums.
     ``blocks`` lists the partition in index order as ``(kind, line,
     slots)``: an upper block holds the units above the diagonal in column
     ``line``, bottom row first; a lower block the units left of the diagonal
@@ -240,6 +244,12 @@ class IndexMaps:
     rows: np.ndarray
     cols: np.ndarray
     cartan: slice
+    upper: slice
+    lower: slice
+    upper_at: np.ndarray
+    lower_at: np.ndarray
+    above: np.ndarray
+    below: np.ndarray
     gather: np.ndarray
     blocks: tuple[tuple[Role, int, slice], ...]
 
@@ -249,6 +259,23 @@ class IndexMaps:
         h = np.zeros(self.N + 1, dtype=complex)
         h[1 : self.N] = a[self.cartan]
         return h[1:] - h[:-1]
+
+    def gauss_factors(
+        self, u: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(U, w, L) with exp(u_1 X_1) ... exp(u_n X_n) = U diag(exp w) L.
+
+        U is unit upper triangular with the upper coordinates as its
+        entries, L unit lower triangular with the lower ones, and w is
+        :meth:`cartan_diagonal`.  Within the upper (or lower) run, any two
+        root units taken in basis order multiply to zero, so the product of
+        the factors I + u_m X_m is I + sum_m u_m X_m.
+        """
+        U = np.eye(self.N, dtype=complex)
+        L = U.copy()
+        U.flat[self.upper_at] = u[self.upper]
+        L.flat[self.lower_at] = u[self.lower]
+        return U, self.cartan_diagonal(u), L
 
     def expand(self, M: np.ndarray) -> np.ndarray:
         """Coefficients of traceless matrices M (..., N, N), shape (..., n).
@@ -290,7 +317,13 @@ def _build_index_maps(basis: OrderedBasis) -> IndexMaps:
     gather = np.empty(basis.n, dtype=np.intp)
     gather[root] = rows * N + cols
     gather[cartan] = N * N + np.arange(N - 1)
-    return IndexMaps(N, root, rows, cols, cartan, gather, tuple(blocks))
+    upper = slice(0, cartan.start)
+    lower = slice(cartan.stop, basis.n)
+    below = np.tri(N, k=-1, dtype=complex)  # complex: no cast per product
+    return IndexMaps(
+        N, root, rows, cols, cartan, upper, lower, gather[upper],
+        gather[lower], below.T.copy(), below, gather, tuple(blocks),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -19,15 +19,15 @@ system resolves stage by stage without ever inverting A:
   enters only through exponential factors exp(integer linear form).
 
 Two independent routes to u' coexist on purpose and are cross-checked in
-the test suite.  The production path works on the N x N matrix M: the
-group element of a root block is I + U with U a single column or row, so
-:func:`rhs` peels a whole block as the conjugation (I - U) M (I + U) (a
-diagonal similarity for the Cartan block), and :func:`assemble_A_prefix`
-builds A(u) for the trust-region monitor from running prefix products.  The
-oracle is :func:`assemble_A_numeric`, built from closed-form adjoint
-exponentials, followed by a dense solve.  :func:`derive_hierarchy` runs the
-adjoint peel over exact symbolic expressions and returns the closed-form
-stage data.
+the test suite.  The production path works on the N x N matrix M: in the
+ordered basis the product is a Gauss factorisation K = U D L (unit upper
+triangular, diagonal, unit lower triangular), so :func:`rhs` reads u' off
+the triangular parts of the one similarity U^-1 M U, and
+:func:`assemble_A_prefix` builds A(u) for the trust-region monitor from
+running prefix products.  The oracle is :func:`assemble_A_numeric`, built
+from closed-form adjoint exponentials, followed by a dense solve.
+:func:`derive_hierarchy` runs the adjoint peel over exact symbolic
+expressions and returns the closed-form stage data.
 """
 
 from __future__ import annotations
@@ -362,11 +362,14 @@ def rhs(alg: Algebra, u: np.ndarray, M: np.ndarray) -> np.ndarray:
     """u' for chart coordinates u and a traceless driving matrix M.
 
     Equivalent to solving A(u) u' = a for the expansion a of M; never forms
-    A.  Blocks are peeled in index order: T <- g^-1 T g for the block's
-    group element g, then the block's coefficients are read off T (matrix
-    entries, or partial diagonal sums for the Cartan block) and zeroed.
-    The trace of M is not checked; callers remove it (it lies outside
-    sl(N) and would bias the Cartan read-off).
+    A.  The chart is the Gauss factorisation K = U D L (see
+    :meth:`IndexMaps.gauss_factors`), and K' = M K splits along the
+    triangular parts of T = U^-1 M U: U' = U triu(T), (log D)' = diag(T)
+    and L' = D^-1 tril(T) D L, with triu/tril the strict parts.  The
+    coefficients are read off as matrix entries (partial sums of diag(T)
+    for the Cartan block).  Non-finite u gives a non-finite u'.  The trace
+    of M is not checked; callers remove it (it lies outside sl(N) and would
+    bias the Cartan read-off).
     """
     u = np.asarray(u, dtype=complex)
     N = alg.N
@@ -376,26 +379,15 @@ def rhs(alg: Algebra, u: np.ndarray, M: np.ndarray) -> np.ndarray:
             f"u{u.shape} and M{np.shape(M)}"
         )
     maps = alg.basis.maps
-    T = np.array(M, dtype=complex)
+    U, w, L = maps.gauss_factors(u)
+    T = np.linalg.solve(U, M @ U)
     up = np.empty(alg.n, dtype=complex)
-    for kind, q, s in maps.blocks:
-        if kind == "upper":  # g = I + v e_q^T, v = u_s on rows q-1, ..., 0
-            v = u[s][::-1]
-            T[:, q] += T[:, :q] @ v
-            T[:q] -= v[:, None] * T[q]
-            up[s] = T[:q, q][::-1]
-            T[:q, q] = 0.0
-        elif kind == "lower":  # g = I + e_q v^T, v = u_s on columns 0, ..., q-1
-            v = u[s]
-            T[:, :q] += T[:, q, None] * v
-            T[q] -= v @ T[:q]
-            up[s] = T[q, :q]
-            T[q, :q] = 0.0
-        else:  # g = diag(exp(w)): T_ij <- T_ij exp(w_j - w_i)
-            w = maps.cartan_diagonal(u)
-            T *= np.exp(w - w[:, None])
-            up[s] = np.cumsum(T.diagonal())[: N - 1]
-            np.fill_diagonal(T, 0.0)
+    up[maps.upper] = (U @ (T * maps.above)).take(maps.upper_at)
+    up[maps.cartan] = T.diagonal().cumsum()[: N - 1]
+    # D^-1 X D scales X_ij by exp(w_j - w_i); the exponent is masked too, so
+    # that an overflow above the diagonal cannot turn into 0 * inf = nan
+    scale = maps.below * np.exp((w - w[:, None]) * maps.below)
+    up[maps.lower] = ((T * scale) @ L).take(maps.lower_at)
     return up
 
 

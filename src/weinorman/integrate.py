@@ -2,21 +2,25 @@
 
 `integrate_wn` evolves the chart coordinates u(t) of
 K = exp(u_1 X_1) ... exp(u_n X_n) through the staged right-hand sides,
-reconstructing K at the requested sample times only.  Charts are local:
-when coordinates blow up or the stage system turns ill-conditioned, the
-accumulated K is frozen as a left factor, u resets to zero, and the
-remaining evolution continues in a fresh chart (the traceless driving
-matrix gets conjugated by the frozen factor, K_base^-1 M_0 K_base, which is
-exactly what restarting the factorization at that point requires).
+reconstructing K at the requested sample times only, as its Gauss factors
+K = U diag(exp w) L (the upper coordinates fill U, the lower ones L, and w
+comes from the Cartan ones).  Charts are local: when coordinates blow up or
+the stage system turns ill-conditioned, the accumulated K is frozen as a
+left factor, u resets to zero, and the remaining evolution continues in a
+fresh chart (the traceless driving matrix gets conjugated by the frozen
+factor, K_base^-1 M_0 K_base, which is exactly what restarting the
+factorization at that point requires).
 
 `integrate_direct` integrates the matrix equation K' = M(t) K entry-wise
 with the same embedded pair at oracle tolerances — an independent route
 used for cross-checking, never mixed into the factorized path.
 
 Both steppers are deliberately plain: an embedded Dormand-Prince 5(4) pair
-with a standard controller (adaptive default), and classic RK4 with a fixed
-step.  Steps are clamped to land exactly on sample times, so trajectories
-on the same grid compare sample-by-sample without interpolation.
+with a standard controller (adaptive default; first-same-as-last, so an
+accepted step's last stage is the next step's first and a step costs 6
+right-hand sides), and classic RK4 with a fixed step.  Steps are clamped to
+land exactly on sample times, so trajectories on the same grid compare
+sample-by-sample without interpolation.
 """
 
 from __future__ import annotations
@@ -175,14 +179,12 @@ def factor_exp(alg: Algebra, m: int, u: complex) -> np.ndarray:
 
 
 def reconstruct_K(alg: Algebra, u: np.ndarray) -> np.ndarray:
-    """K = exp(u_1 X_1) ... exp(u_n X_n), factors multiplied left to right."""
+    """K = exp(u_1 X_1) ... exp(u_n X_n), as its Gauss factors U diag(exp w) L."""
     u = np.asarray(u, dtype=complex)
     if u.shape != (alg.n,):
         raise ValueError(f"expected a {alg.n}-vector, got shape {u.shape}")
-    K = np.eye(alg.N, dtype=complex)
-    for m in range(1, alg.n + 1):
-        K = K @ factor_exp(alg, m, u[m - 1])
-    return K
+    U, w, L = alg.basis.maps.gauss_factors(u)
+    return (U * np.exp(w)) @ L
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +239,9 @@ def _drive(f, t, y, targets, cfg, budget, record, monitor):
     ``monitor(t, y)`` after every accepted step.  Returns ``(t, y, report)``:
     ``report`` is the first non-None value the monitor returned (the run
     stops right after that step, before recording), or None once every
-    target is recorded.
+    target is recorded.  The adaptive pair is first-same-as-last: the last
+    stage of an accepted step is f at its end point, which is the first
+    stage of the next step, so a step costs 6 evaluations of f.
     """
     adaptive = cfg.method == "adaptive"
     if adaptive:
@@ -247,21 +251,30 @@ def _drive(f, t, y, targets, cfg, budget, record, monitor):
         h = cfg.fixed_step
     tiny = _MIN_STEP_REL * max(abs(cfg.t0), abs(cfg.t1), 1.0)
     h_last = 0.0
+    k1 = None  # f(t, y) once needed; kept across rejections
 
     for target in targets:
         while t < target - tiny:
             h_try = min(h, target - t)
+            t_new = t + h_try
+            if abs(t_new - target) <= tiny:
+                t_new = target
             if adaptive:
                 if h_try < tiny:
                     raise StepSizeUnderflow(
                         f"step {h_try:.3e} below resolvable scale at t = {t:.9f}"
                     )
-                k = [f(t, y)]
-                for i in range(1, 7):
-                    yi = y + h_try * (_DP_A[i] @ np.array(k[:i]))
+                if k1 is None:
+                    k1 = f(t, y)
+                k = [k1]
+                for i in range(1, 6):
+                    yi = y + h_try * (_DP_A[i] @ np.array(k))
                     k.append(f(t + _DP_C[i] * h_try, yi))
+                # the last stage's input is the 5th-order solution (its
+                # weights are _DP_B5), taken at the step's end point
+                y_new = y + h_try * (_DP_A[6] @ np.array(k))
+                k.append(f(t_new, y_new))
                 k = np.array(k)
-                y_new = y + h_try * (_DP_B5 @ k)
                 err = h_try * (_DP_ERR @ k)
                 if not np.all(np.isfinite(y_new.view(float))):
                     errnorm = np.inf
@@ -278,6 +291,7 @@ def _drive(f, t, y, targets, cfg, budget, record, monitor):
                     5.0, max(0.2, 0.9 * errnorm ** -0.2)
                 )
                 h = min(h_try * factor, cfg.max_step)
+                k1 = k[6]
             else:
                 k1 = f(t, y)
                 k2 = f(t + h_try / 2, y + (h_try / 2) * k1)
@@ -289,9 +303,6 @@ def _drive(f, t, y, targets, cfg, budget, record, monitor):
                         f"RK4 step from t = {t:.9f} gave a non-finite state; "
                         f"fixed_step = {cfg.fixed_step} is too coarse here"
                     )
-            t_new = t + h_try
-            if abs(t_new - target) <= tiny:
-                t_new = target
             t, y, h_last = t_new, y_new, h_try
             budget.accept()
             report = monitor(t, y)

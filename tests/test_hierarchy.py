@@ -236,7 +236,7 @@ def test_emit_rejects_unknown_format():
 
 
 @given(
-    N=st.sampled_from([2, 3, 4, 5, 6, 8]),
+    N=st.sampled_from([2, 3, 4, 5, 6, 8, 12]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_staged_solve_matches_dense(N, seed):
@@ -248,6 +248,21 @@ def test_staged_solve_matches_dense(N, seed):
     A = assemble_A_numeric(alg, uv)
     dense = np.linalg.solve(A, av)
     assert np.linalg.norm(up - dense) < 1e-10 * max(np.linalg.norm(dense), 1.0)
+
+
+@pytest.mark.parametrize("N", [2, 3, 6])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_rhs_non_finite_state_stays_rejectable(N, bad):
+    # the step controller rejects a trial stage whose rhs is non-finite, so
+    # a pole in u must come back as inf/nan and not as an exception
+    alg = algebra(N)
+    rng = np.random.default_rng(N)
+    M = matrix_from_coefficients(rng.standard_normal(alg.n) + 0j, alg.basis)
+    for slot in range(alg.n):
+        uv = 0.7 * rng.standard_normal(alg.n) + 0j
+        uv[slot] = bad
+        assert not np.all(np.isfinite(rhs(alg, uv, M)))
 
 
 @given(
