@@ -319,7 +319,9 @@ def _build_index_maps(basis: OrderedBasis) -> IndexMaps:
     gather[cartan] = N * N + np.arange(N - 1)
     upper = slice(0, cartan.start)
     lower = slice(cartan.stop, basis.n)
-    below = np.tri(N, k=-1, dtype=complex)  # complex: no cast per product
+    # stored, not np.triu/np.tril per call (each builds a fresh mask); complex,
+    # so the products need no cast
+    below = np.tri(N, k=-1, dtype=complex)
     return IndexMaps(
         N, root, rows, cols, cartan, upper, lower, gather[upper],
         gather[lower], below.T.copy(), below, gather, tuple(blocks),

@@ -276,11 +276,13 @@ def _drive(f, t, y, targets, cfg, budget, record, monitor):
                 k.append(f(t_new, y_new))
                 k = np.array(k)
                 err = h_try * (_DP_ERR @ k)
-                if not np.all(np.isfinite(y_new.view(float))):
+                # any non-finite stage rejects the step: y_new does not see
+                # the last one, and a nan errnorm must not pass the test below
+                if not (np.isfinite(k).all() and np.isfinite(y_new).all()):
                     errnorm = np.inf
                 else:
                     errnorm = _error_norm(err, y, y_new, cfg.atol, cfg.rtol)
-                if errnorm > 1.0:
+                if not errnorm <= 1.0:
                     budget.rejected += 1
                     shrink = 0.25 if not np.isfinite(errnorm) else max(
                         0.1, min(0.5, 0.9 * errnorm ** -0.2)

@@ -19,6 +19,7 @@ from weinorman import (
     integrate_wn,
     reconstruct_K,
 )
+from weinorman.integrate import _drive, _StepBudget
 
 SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 
@@ -231,6 +232,38 @@ def test_oracle_keeps_its_step_sequence(monkeypatch):
     # the accepted and rejected counts of the stepper that re-evaluated the
     # first stage of every step
     assert (traj.n_steps, traj.n_rejected) == (369, 1)
+
+
+def _drive_exp(f):
+    # y' = f(t, y) from y(0) = 1 to t = 1, first trial step 0.5
+    cfg = IntegrationConfig(t1=1.0, first_step=0.5, atol=1e-3, rtol=1e-3)
+    budget = _StepBudget(cfg.max_steps)
+    t, y, report = _drive(
+        f, 0.0, np.ones(1, dtype=complex), [1.0], cfg, budget,
+        lambda target, y, h: None, lambda t, y: None,
+    )
+    assert report is None and t == 1.0
+    return y, budget
+
+
+def test_non_finite_last_stage_rejects_the_step():
+    # y' = y, but the 7th evaluation (the last stage of the first trial
+    # step, f at its end point) is nan, as for a trial that jumps a pole;
+    # y_new is built from the first six stages only and stays finite
+    y, budget = _drive_exp(lambda t, y: y)
+    assert budget.rejected == 0  # the trial step is accurate enough
+
+    calls = []
+
+    def f(t, y):
+        calls.append(t)
+        return np.full_like(y, np.nan) if len(calls) == 7 else y
+
+    y, budget = _drive_exp(f)
+    assert budget.rejected == 1
+    # the retry is a quarter of the trial step and keeps its first stage
+    assert calls[7] == pytest.approx(0.2 * 0.5 / 4)
+    assert abs(y[0] - np.e) < 1e-2
 
 
 def test_sample_grid_is_preserved_across_charts():
