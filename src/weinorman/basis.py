@@ -193,10 +193,6 @@ class SubalgebraPartition:
                 return s
         raise ValueError(f"generator index {m} outside 1..{self.N ** 2 - 1}")
 
-    def block_of(self, m: int) -> BlockRef:
-        """The block containing generator index m."""
-        return self.blocks_in_index_order()[self.stage_of(m) - 1]
-
 
 def build_partition(basis: OrderedBasis) -> SubalgebraPartition:
     """Partition the basis indices into (J_1..J_(N-1), Cartan, ~J_(N-1)..~J_1)."""
@@ -224,25 +220,15 @@ def build_partition(basis: OrderedBasis) -> SubalgebraPartition:
 class IndexMaps:
     """Index arrays that place the ordered basis in the N x N matrix.
 
-    ``root`` holds the 0-based slots of the root units E_pq in basis order
-    and ``rows``/``cols`` their entries (p - 1, q - 1); ``cartan`` selects
-    the slots of H_1, ..., H_(N-1), and ``upper``/``lower`` the slots of the
-    units above/below the diagonal, whose entries in the flattened matrix
-    are ``upper_at``/``lower_at``; the masks ``above``/``below`` are 1
-    strictly above/below the diagonal and 0 elsewhere.  ``gather`` maps each
-    slot into the flattened matrix followed by its N - 1 partial diagonal
-    sums.
-    ``blocks`` lists the partition in index order as ``(kind, line,
-    slots)``: an upper block holds the units above the diagonal in column
-    ``line``, bottom row first; a lower block the units left of the diagonal
-    in row ``line``, first column first (0-based; ``line`` is -1 for the
-    Cartan block).
+    ``cartan`` selects the slots of H_1, ..., H_(N-1), and ``upper``/``lower``
+    the slots of the units above/below the diagonal, whose entries in the
+    flattened matrix are ``upper_at``/``lower_at``; the masks
+    ``above``/``below`` are 1 strictly above/below the diagonal and 0
+    elsewhere.  ``gather`` maps each slot into the flattened matrix followed
+    by its N - 1 partial diagonal sums.
     """
 
     N: int
-    root: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
     cartan: slice
     upper: slice
     lower: slice
@@ -251,7 +237,6 @@ class IndexMaps:
     above: np.ndarray
     below: np.ndarray
     gather: np.ndarray
-    blocks: tuple[tuple[Role, int, slice], ...]
 
     def cartan_diagonal(self, a: np.ndarray) -> np.ndarray:
         """Diagonal of sum_l a(H_l) H_l for a coefficient vector a."""
@@ -292,15 +277,12 @@ class IndexMaps:
 def _build_index_maps(basis: OrderedBasis) -> IndexMaps:
     """Index maps of a basis; raises if a block is not shaped as documented."""
     N = basis.N
-    blocks = []
     for ref in build_partition(basis).blocks_in_index_order():
         pos = [basis.element(m).position for m in ref.indices]
         pos = [(p - 1, q - 1) for p, q in pos]
-        slots = slice(ref.indices[0] - 1, ref.indices[-1])
         if ref.kind == "cartan":
-            line = -1
             ok = pos == [(l, l) for l in range(N - 1)]
-            cartan = slots
+            cartan = slice(ref.indices[0] - 1, ref.indices[-1])
         elif ref.kind == "upper":
             line = pos[0][1]
             ok = pos == [(p, line) for p in range(line - 1, -1, -1)]
@@ -309,13 +291,8 @@ def _build_index_maps(basis: OrderedBasis) -> IndexMaps:
             ok = pos == [(line, p) for p in range(line)]
         if not ok:
             raise ValueError(f"{ref.kind} block {ref.k} is not one matrix line")
-        blocks.append((ref.kind, line, slots))
-    roots = [el for el in basis.elements if el.role != "cartan"]
-    root = np.array([el.index - 1 for el in roots])
-    rows = np.array([el.position[0] - 1 for el in roots])
-    cols = np.array([el.position[1] - 1 for el in roots])
-    gather = np.empty(basis.n, dtype=np.intp)
-    gather[root] = rows * N + cols
+    rows, cols = np.array([el.position for el in basis.elements]).T - 1
+    gather = rows * N + cols
     gather[cartan] = N * N + np.arange(N - 1)
     upper = slice(0, cartan.start)
     lower = slice(cartan.stop, basis.n)
@@ -323,8 +300,8 @@ def _build_index_maps(basis: OrderedBasis) -> IndexMaps:
     # so the products need no cast
     below = np.tri(N, k=-1, dtype=complex)
     return IndexMaps(
-        N, root, rows, cols, cartan, upper, lower, gather[upper],
-        gather[lower], below.T.copy(), below, gather, tuple(blocks),
+        N, cartan, upper, lower, gather[upper], gather[lower], below.T.copy(),
+        below, gather,
     )
 
 
@@ -434,6 +411,8 @@ def matrix_from_coefficients(a: np.ndarray, basis: OrderedBasis) -> np.ndarray:
     N = basis.N
     maps = basis.maps
     M = np.zeros((N, N), dtype=complex)
-    M[maps.rows, maps.cols] = a[maps.root]
+    flat = M.reshape(N * N)
+    flat[maps.upper_at] = a[maps.upper]
+    flat[maps.lower_at] = a[maps.lower]
     np.fill_diagonal(M, maps.cartan_diagonal(a))
     return M

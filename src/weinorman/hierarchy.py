@@ -23,9 +23,9 @@ the test suite.  The production path works on the N x N matrix M: in the
 ordered basis the product is a Gauss factorisation K = U D L (unit upper
 triangular, diagonal, unit lower triangular), so :func:`rhs` reads u' off
 the triangular parts of the one similarity U^-1 M U, and
-:func:`assemble_A_prefix` builds A(u) for the trust-region monitor from
-running prefix products.  The oracle is :func:`assemble_A_numeric`, built
-from closed-form adjoint exponentials, followed by a dense solve.
+:func:`assemble_A_gauss` builds A(u) for the trust-region monitor in
+closed form of the same factors.  The oracle is :func:`assemble_A_numeric`,
+built from closed-form adjoint exponentials, followed by a dense solve.
 :func:`derive_hierarchy` runs the adjoint peel over exact symbolic
 expressions and returns the closed-form stage data.
 """
@@ -39,7 +39,6 @@ from fractions import Fraction
 import numpy as np
 
 from .adjoint import AdjointMatrix, Algebra, algebra, apply_exp_ad
-from .basis import BlockRef
 from .symexpr import RationalComplex, SymbolicExpr
 
 __all__ = [
@@ -48,8 +47,8 @@ __all__ = [
     "LinearStage",
     "RiccatiStage",
     "StageLocalityError",
+    "assemble_A_gauss",
     "assemble_A_numeric",
-    "assemble_A_prefix",
     "assemble_A_symbolic",
     "check_A_block_structure",
     "condition_estimate",
@@ -391,13 +390,16 @@ def rhs(alg: Algebra, u: np.ndarray, M: np.ndarray) -> np.ndarray:
     return up
 
 
-def assemble_A_prefix(alg: Algebra, u: np.ndarray) -> np.ndarray:
-    """A(u) from running prefix products (the trust-region monitor's route).
+def assemble_A_gauss(alg: Algebra, u: np.ndarray) -> np.ndarray:
+    """A(u) from the Gauss factors K = U D L (the trust-region monitor's route).
 
-    Column l is g X_l g^-1 expanded in the basis, with g the product of the
-    factors of all blocks before X_l's own (factors inside one block
-    commute, so they drop out): g[:, p] (x) g^-1[q, :] for X_l = E_pq and
-    the difference of two such terms for H_l.  Matches
+    Column l is X_l conjugated by the factors before X_l's block (factors
+    inside one block commute, so they drop out), expanded in the basis.  In
+    U, D and L this reads K' K^-1 = U (U^-1 U' + diag w' + D L' L^-1 D^-1)
+    U^-1, with U', L' the upper and lower parts of u': the column of E_pq is
+    e_p (x) U^-1[q, :] above the diagonal and (U D)[:, p] (x) K^-1[q, :]
+    below it, with K^-1 = L^-1 D^-1 U^-1, and that of H_l is
+    U[:, l] (x) U^-1[l, :] minus the same term at l + 1.  Matches
     :func:`assemble_A_numeric` up to round-off.
     """
     u = np.asarray(u, dtype=complex)
@@ -405,29 +407,21 @@ def assemble_A_prefix(alg: Algebra, u: np.ndarray) -> np.ndarray:
     if u.shape != (n,):
         raise ValueError(f"expected a {n}-vector, got shape {u.shape}")
     maps = alg.basis.maps
-    g = np.eye(N, dtype=complex)
-    gi = np.eye(N, dtype=complex)
-    # g X g^-1 for X = E_pq at S[p, q] = stack[p N + q], for X = H_l at
+    U, w, L = maps.gauss_factors(u)
+    d = np.exp(w)
+    Ui = np.linalg.inv(U)
+    # L^-1 as the transpose of the inverse of the upper triangular L^T: its
+    # LU pivots are the unit diagonal, so overflowed entries give nan, not a
+    # singular-matrix error
+    Ki = np.linalg.inv(L.T).T @ (Ui / d[:, None])
+    # E_pq maps to col[p, q] (x) row[p, q], stored at stack[p N + q]; H_l at
     # stack[N^2 + l - 1]; maps.gather reads them in basis order
-    stack = np.empty((N * N + N - 1, N, N), dtype=complex)
-    S = stack[: N * N].reshape(N, N, N, N)
-    for kind, q, s in maps.blocks:
-        if kind == "upper":  # g <- g (I + v e_q^T)
-            S[:q, q] = g[:, :q].T[:, :, None] * gi[q]
-            v = u[s][::-1]
-            g[:, q] += g[:, :q] @ v
-            gi[:q] -= v[:, None] * gi[q]
-        elif kind == "lower":  # g <- g (I + e_q v^T)
-            S[q, :q] = g[:, q, None] * gi[:q, None, :]
-            v = u[s]
-            g[:, :q] += g[:, q, None] * v
-            gi[q] -= v @ gi[:q]
-        else:  # g <- g diag(exp(w))
-            P = g.T[:, :, None] * gi[:, None, :]  # P[j] = g[:, j] (x) g^-1[j, :]
-            stack[N * N :] = P[:-1] - P[1:]
-            w = maps.cartan_diagonal(u)
-            g *= np.exp(w)
-            gi *= np.exp(-w)[:, None]
+    above = maps.above[:, :, None]  # nonzero (true) strictly above the diagonal
+    col = np.where(above, np.eye(N)[:, None, :], (U * d).T[:, None, :])
+    row = np.where(above, Ui, Ki)
+    P = U.T[:, :, None] * Ui[:, None, :]  # P[j] = U[:, j] (x) U^-1[j, :]
+    roots = (col[..., :, None] * row[..., None, :]).reshape(N * N, N, N)
+    stack = np.concatenate([roots, P[:-1] - P[1:]])
     return maps.expand(stack.take(maps.gather, axis=0)).T
 
 
@@ -452,7 +446,9 @@ def assemble_A_numeric(alg: Algebra, u: np.ndarray) -> np.ndarray:
 
 
 def condition_estimate(A: np.ndarray) -> float:
-    """2-norm condition number of an assembled A(u)."""
+    """2-norm condition number of an assembled A(u); inf if A is not finite."""
+    if not np.isfinite(A).all():
+        return float("inf")
     return float(np.linalg.cond(A))
 
 

@@ -35,8 +35,8 @@ from .adjoint import Algebra, algebra
 # importable so that tests and the benchmark tracer can patch it and see no
 # calls.
 from .hierarchy import (
+    assemble_A_gauss,
     assemble_A_numeric,
-    assemble_A_prefix,
     condition_estimate,
     rhs,
 )
@@ -471,7 +471,7 @@ def integrate_wn(
         grown = absu[worst] > config.u_threshold
         if not (grown or absu[worst] > 0.5):
             return None
-        cond = condition_estimate(assemble_A_prefix(alg, u))
+        cond = condition_estimate(assemble_A_gauss(alg, u))
         if grown:
             trigger, value = "u-growth", float(absu[worst])
         elif cond > config.cond_threshold:

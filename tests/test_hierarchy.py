@@ -26,7 +26,11 @@ from weinorman import (
     parse_hierarchy_json,
     rhs,
 )
-from weinorman.hierarchy import _derive_from_algebra, assemble_A_prefix
+from weinorman.hierarchy import (
+    _derive_from_algebra,
+    assemble_A_gauss,
+    condition_estimate,
+)
 from weinorman.verify import _corrupted_algebra
 
 a, u, E = SymbolicExpr.a, SymbolicExpr.u, SymbolicExpr.exp_u
@@ -266,16 +270,56 @@ def test_rhs_non_finite_state_stays_rejectable(N, bad):
 
 
 @given(
-    N=st.integers(min_value=2, max_value=6),
+    N=st.integers(min_value=2, max_value=8),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_prefix_product_A_matches_oracle(N, seed):
+def test_gauss_A_matches_oracle(N, seed):
     alg = algebra(N)
     rng = np.random.default_rng(seed)
     uv = 0.7 * (rng.standard_normal(alg.n) + 1j * rng.standard_normal(alg.n))
     want = assemble_A_numeric(alg, uv)
-    got = assemble_A_prefix(alg, uv)
+    got = assemble_A_gauss(alg, uv)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+def test_gauss_A_condition_matches_oracle_near_threshold(N):
+    # the monitor switches charts at cond(A) = 1e12; draw root coordinates
+    # until 20 states land in [1e10, 1e14].  cond grows about like |u|^(2N),
+    # hence the scale range.  The Cartan coordinates stay O(1): with them as
+    # large as the roots, D = diag(exp w) spans e^+-100 at N = 2 and the
+    # oracle itself is off from a 50-digit reference by about 1e-6.
+    alg = algebra(N)
+    cartan = alg.basis.maps.cartan
+    rng = np.random.default_rng(N)
+    kept = 0
+    for _ in range(2000):
+        uv = 10 ** rng.uniform(0, 8 / N) * (
+            rng.standard_normal(alg.n) + 1j * rng.standard_normal(alg.n)
+        )
+        uv[cartan] = 0.7 * (
+            rng.standard_normal(N - 1) + 1j * rng.standard_normal(N - 1)
+        )
+        want = condition_estimate(assemble_A_numeric(alg, uv))
+        if not 1e10 <= want <= 1e14:
+            continue
+        # measured at most 1.1e-9 on these draws
+        got = condition_estimate(assemble_A_gauss(alg, uv))
+        assert abs(got - want) <= 1e-6 * want
+        kept += 1
+        if kept == 20:
+            return
+    pytest.fail(f"only {kept} draws landed in the band")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_condition_estimate_of_non_finite_A_is_inf(bad):
+    # past a pole the assembled A overflows; the monitor must read that as
+    # infinitely ill-conditioned, not stop on an SVD that does not converge
+    A = np.eye(3, dtype=complex)
+    A[1, 2] = bad
+    assert condition_estimate(A) == np.inf
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
