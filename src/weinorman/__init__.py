@@ -22,13 +22,11 @@ from .basis import (
     BasisElement,
     BlockRef,
     OrderedBasis,
-    StructureTensor,
     SubalgebraPartition,
     build_ordered_basis,
     build_partition,
     expand_in_basis,
     matrix_from_coefficients,
-    structure_constants,
 )
 from .hierarchy import (
     CartanStage,
@@ -95,7 +93,6 @@ __all__ = [
     "SingularityReport",
     "StageLocalityError",
     "StepSizeUnderflow",
-    "StructureTensor",
     "SubalgebraPartition",
     "SymbolicExpr",
     "Trajectory",
@@ -122,6 +119,5 @@ __all__ = [
     "random_antihermitian_signal",
     "reconstruct_K",
     "rhs",
-    "structure_constants",
     "__version__",
 ]

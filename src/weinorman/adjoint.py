@@ -21,11 +21,11 @@ import numpy as np
 from .basis import (
     OrderedBasis,
     Role,
-    StructureTensor,
     SubalgebraPartition,
+    _expand,
+    _gather,
     build_ordered_basis,
     build_partition,
-    structure_constants,
 )
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "Algebra",
     "PropertyCheck",
     "PropertyReport",
-    "ad_matrix",
     "algebra",
     "all_ad_matrices",
     "apply_exp_ad",
@@ -68,31 +67,39 @@ class AdjointMatrix:
         return np.diagonal(self.entries)
 
 
-def ad_matrix(
-    basis: OrderedBasis, tensor: StructureTensor, m: int
-) -> AdjointMatrix:
-    """Adjoint matrix of generator m (1-based)."""
-    el = basis.element(m)
-    A = np.zeros((basis.n, basis.n), dtype=np.int64)
-    for q in range(1, basis.n + 1):
-        for r, c in tensor.bracket(m, q):
-            A[r - 1, q - 1] = c
-    return AdjointMatrix(index=m, role=el.role, entries=A)
+def all_ad_matrices(basis: OrderedBasis) -> tuple[AdjointMatrix, ...]:
+    """Adjoint matrices of every generator, read off its commutators.
 
-
-def all_ad_matrices(
-    basis: OrderedBasis, tensor: StructureTensor
-) -> tuple[AdjointMatrix, ...]:
-    return tuple(ad_matrix(basis, tensor, m) for m in range(1, basis.n + 1))
+    Column q of ad X_m is the expansion of [X_m, X_q]; the commutators with
+    all X_q are one stacked integer product per generator.  Raises
+    ``RuntimeError`` if a commutator does not re-expand exactly in the basis
+    (a closure failure, impossible for sl(N) but guarded).
+    """
+    X = np.array([el.matrix for el in basis.elements])
+    # small integers throughout, so the float product below is exact
+    flat = X.reshape(basis.n, -1).astype(float)
+    gather = _gather(basis)
+    ads = []
+    for el in basis.elements:
+        C = el.matrix @ X - X @ el.matrix
+        coeff = _expand(C, gather)  # coeff[q, r]: X_r in [X_m, X_q]
+        C = C.reshape(basis.n, -1)
+        rebuilt = coeff @ flat
+        if not np.array_equal(rebuilt, C):
+            q = (rebuilt != C).any(axis=1).argmax() + 1
+            raise RuntimeError(
+                f"commutator [X_{el.index}, X_{q}] does not close in the basis"
+            )
+        ads.append(AdjointMatrix(el.index, el.role, np.ascontiguousarray(coeff.T)))
+    return tuple(ads)
 
 
 @dataclass(frozen=True, eq=False)
 class Algebra:
-    """Everything that is fixed once N is: basis, blocks, brackets, adjoints."""
+    """Everything that is fixed once N is: basis, blocks and adjoints."""
 
     basis: OrderedBasis
     partition: SubalgebraPartition
-    tensor: StructureTensor
     ads: tuple[AdjointMatrix, ...]
 
     @property
@@ -108,12 +115,10 @@ class Algebra:
 def algebra(N: int) -> Algebra:
     """Build (and cache) the full algebra bundle for sl(N, C)."""
     basis = build_ordered_basis(N)
-    tensor = structure_constants(basis)
     return Algebra(
         basis=basis,
         partition=build_partition(basis),
-        tensor=tensor,
-        ads=all_ad_matrices(basis, tensor),
+        ads=all_ad_matrices(basis),
     )
 
 

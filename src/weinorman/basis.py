@@ -33,13 +33,11 @@ __all__ = [
     "BlockRef",
     "IndexMaps",
     "OrderedBasis",
-    "StructureTensor",
     "SubalgebraPartition",
     "build_ordered_basis",
     "build_partition",
     "expand_in_basis",
     "matrix_from_coefficients",
-    "structure_constants",
 ]
 
 Role = Literal["upper", "cartan", "lower"]
@@ -186,12 +184,20 @@ class SubalgebraPartition:
         )
         return tuple(refs)
 
+    @cached_property
+    def stages(self) -> tuple[int, ...]:
+        """``stages[m - 1]`` is :meth:`stage_of` (m), built once."""
+        return tuple(
+            s
+            for s, ref in enumerate(self.blocks_in_index_order(), start=1)
+            for _ in ref.indices
+        )
+
     def stage_of(self, m: int) -> int:
         """1-based position, in elimination order, of the block holding X_m."""
-        for s, ref in enumerate(self.blocks_in_index_order(), start=1):
-            if m in ref.indices:
-                return s
-        raise ValueError(f"generator index {m} outside 1..{self.N ** 2 - 1}")
+        if not 1 <= m <= len(self.stages):
+            raise ValueError(f"generator index {m} outside 1..{len(self.stages)}")
+        return self.stages[m - 1]
 
 
 def build_partition(basis: OrderedBasis) -> SubalgebraPartition:
@@ -263,15 +269,36 @@ class IndexMaps:
         return U, self.cartan_diagonal(u), L
 
     def expand(self, M: np.ndarray) -> np.ndarray:
-        """Coefficients of traceless matrices M (..., N, N), shape (..., n).
+        """Coefficients of traceless matrices M (..., N, N), shape (..., n)."""
+        return _expand(M, self.gather)
 
-        Root coefficients are matrix entries; the H_l coefficient is the
-        partial sum of the first l diagonal entries.
-        """
-        N = self.N
-        flat = M.reshape(M.shape[:-2] + (N * N,))
-        sums = np.cumsum(flat[..., :: N + 1], axis=-1)[..., : N - 1]
-        return np.concatenate([flat, sums], axis=-1).take(self.gather, axis=-1)
+
+def _gather(basis: OrderedBasis) -> np.ndarray:
+    """Slot of each generator's coefficient for :func:`_expand`.
+
+    Read from the element positions alone, so any basis has one, also one
+    whose blocks are not shaped as documented.
+    """
+    N = basis.N
+    slots = []
+    for el in basis.elements:
+        p, q = el.position
+        slots.append(N * N + p - 1 if el.role == "cartan" else (p - 1) * N + q - 1)
+    return np.array(slots)
+
+
+def _expand(M: np.ndarray, gather: np.ndarray) -> np.ndarray:
+    """Coefficients of traceless matrices M (..., N, N) in basis order.
+
+    Root coefficients are matrix entries; the H_l coefficient is the
+    partial sum of the first l diagonal entries.  ``gather`` maps each
+    generator into the flattened matrix followed by those N - 1 sums.
+    Integer matrices give exact integer coefficients.
+    """
+    N = M.shape[-1]
+    flat = M.reshape(M.shape[:-2] + (N * N,))
+    sums = np.cumsum(flat[..., :: N + 1], axis=-1)[..., : N - 1]
+    return np.concatenate([flat, sums], axis=-1).take(gather, axis=-1)
 
 
 def _build_index_maps(basis: OrderedBasis) -> IndexMaps:
@@ -291,9 +318,7 @@ def _build_index_maps(basis: OrderedBasis) -> IndexMaps:
             ok = pos == [(line, p) for p in range(line)]
         if not ok:
             raise ValueError(f"{ref.kind} block {ref.k} is not one matrix line")
-    rows, cols = np.array([el.position for el in basis.elements]).T - 1
-    gather = rows * N + cols
-    gather[cartan] = N * N + np.arange(N - 1)
+    gather = _gather(basis)
     upper = slice(0, cartan.start)
     lower = slice(cartan.stop, basis.n)
     # stored, not np.triu/np.tril per call (each builds a fresh mask); complex,
@@ -306,72 +331,8 @@ def _build_index_maps(basis: OrderedBasis) -> IndexMaps:
 
 
 # ---------------------------------------------------------------------------
-# exact expansion and structure constants
+# expansion
 # ---------------------------------------------------------------------------
-
-
-def _expand_exact(M: np.ndarray, basis: OrderedBasis) -> np.ndarray:
-    """Exact integer expansion of an integer traceless matrix."""
-    N = basis.N
-    coeff = np.zeros(basis.n, dtype=np.int64)
-    diag_partial = np.cumsum(np.diagonal(M))
-    for el in basis.elements:
-        p, q = el.position
-        if el.role == "cartan":
-            # coefficient of H_l is the partial trace sum_{j<=l} M_jj
-            coeff[el.index - 1] = diag_partial[p - 1]
-        else:
-            coeff[el.index - 1] = M[p - 1, q - 1]
-    return coeff
-
-
-def structure_constants(basis: OrderedBasis) -> "StructureTensor":
-    """Exact integer structure constants of the ordered basis.
-
-    Raises ``RuntimeError`` if any commutator fails to re-expand exactly in
-    the basis (a closure failure, impossible for sl(N) but guarded).
-    """
-    n = basis.n
-    table: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-    mats = [el.matrix for el in basis.elements]
-    for p in range(1, n + 1):
-        for q in range(p + 1, n + 1):
-            C = mats[p - 1] @ mats[q - 1] - mats[q - 1] @ mats[p - 1]
-            coeff = _expand_exact(C, basis)
-            rebuilt = np.zeros_like(C)
-            for r, c in enumerate(coeff):
-                if c != 0:
-                    rebuilt = rebuilt + int(c) * mats[r]
-            if not np.array_equal(rebuilt, C):
-                raise RuntimeError(
-                    f"commutator [X_{p}, X_{q}] does not close in the basis"
-                )
-            entries = tuple(
-                (r + 1, int(c)) for r, c in enumerate(coeff) if c != 0
-            )
-            if entries:
-                table[(p, q)] = entries
-    return StructureTensor(N=basis.N, n=n, _table=table)
-
-
-@dataclass(frozen=True, eq=False)
-class StructureTensor:
-    """Structure constants c^r_pq with [X_p, X_q] = sum_r c^r_pq X_r.
-
-    Entries are exact (small) integers; antisymmetry is resolved at lookup.
-    """
-
-    N: int
-    n: int
-    _table: dict[tuple[int, int], tuple[tuple[int, int], ...]]
-
-    def bracket(self, p: int, q: int) -> tuple[tuple[int, int], ...]:
-        """Nonzero coefficients of [X_p, X_q] as ((r, c^r_pq), ...)."""
-        if p == q:
-            return ()
-        if p < q:
-            return self._table.get((p, q), ())
-        return tuple((r, -c) for r, c in self._table.get((q, p), ()))
 
 
 def expand_in_basis(

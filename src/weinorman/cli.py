@@ -158,7 +158,25 @@ def _signal_from_obj(obj: dict, N: int) -> CoefficientSignal:
     )
 
 
-_RUN_FIELDS = {
+_TRUE = {"1", "true", "yes", "on"}
+_FALSE = {"0", "false", "no", "off"}
+
+
+def _boolean(value) -> bool:
+    """A JSON boolean, or one of the words above in any case."""
+    if isinstance(value, bool):
+        return value
+    low = str(value).strip().lower()
+    if low not in _TRUE | _FALSE:
+        raise ValueError(f"cannot read boolean {value!r}")
+    return low in _TRUE
+
+
+# every key a run section may hold and the reader of its value (INI values
+# arrive as strings); all but n and seed are IntegrationConfig fields
+_RUN_KEYS = {
+    "n": int,
+    "seed": int,
     "t0": float,
     "t1": float,
     "method": str,
@@ -168,7 +186,7 @@ _RUN_FIELDS = {
     "first_step": float,
     "fixed_step": float,
     "samples": int,
-    "reanchor": bool,
+    "reanchor": _boolean,
     "u_threshold": float,
     "cond_threshold": float,
     "max_steps": int,
@@ -179,23 +197,25 @@ def _config_from_obj(obj: dict) -> tuple[int, IntegrationConfig, int | None]:
     run = obj.get("run")
     if not isinstance(run, dict):
         raise ValueError("config needs a 'run' section")
-    if "n" not in run:
+    unknown = sorted(set(run) - set(_RUN_KEYS))
+    if unknown:
+        raise ValueError(f"unknown run key(s): {', '.join(unknown)}")
+    kwargs = {}
+    for key, value in run.items():
+        if value is not None:
+            try:
+                kwargs[key] = _RUN_KEYS[key](value)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"run.{key}: {exc}") from exc
+    if "n" not in kwargs:
         raise ValueError("run section needs 'n'")
-    N = int(run["n"])
+    N = kwargs.pop("n")
     if N < 2:
         raise ValueError(f"need n >= 2, got {N}")
-    kwargs = {}
-    for key, typ in _RUN_FIELDS.items():
-        if key in run and run[key] is not None:
-            kwargs[key] = typ(run[key])
-    seed = run.get("seed")
+    seed = kwargs.pop("seed", None)
     cfg = IntegrationConfig(**kwargs)
     cfg.validate()
-    return N, cfg, None if seed is None else int(seed)
-
-
-_INI_TRUE = {"1", "true", "yes", "on"}
-_INI_FALSE = {"0", "false", "no", "off"}
+    return N, cfg, seed
 
 
 def _ini_to_obj(text: str) -> dict:
@@ -208,19 +228,7 @@ def _ini_to_obj(text: str) -> dict:
     if "run" not in cp or "signal" not in cp:
         raise ValueError("config needs [run] and [signal] sections")
 
-    run: dict = {}
-    for key, raw in cp["run"].items():
-        if key == "method":
-            run[key] = raw.strip()
-        elif key in ("n", "samples", "seed", "max_steps"):
-            run[key] = int(raw)
-        elif key == "reanchor":
-            low = raw.strip().lower()
-            if low not in _INI_TRUE | _INI_FALSE:
-                raise ValueError(f"run.reanchor: cannot read boolean {raw!r}")
-            run[key] = low in _INI_TRUE
-        else:
-            run[key] = float(raw)
+    run = dict(cp["run"])
 
     sig_sec = cp["signal"]
     kind = sig_sec.get("kind", "").strip()

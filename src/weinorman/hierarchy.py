@@ -476,7 +476,7 @@ def check_A_block_structure(
     if A is None:
         A = assemble_A_symbolic(alg)
     refs = alg.partition.blocks_in_index_order()
-    stage_of = {m: alg.partition.stage_of(m) - 1 for m in range(1, alg.n + 1)}
+    stages = alg.partition.stages
     violations: list[str] = []
     n = alg.n
     one = SymbolicExpr.number(1)
@@ -484,19 +484,17 @@ def check_A_block_structure(
     for r in range(1, n + 1):
         for l in range(1, n + 1):
             entry = A[r - 1][l - 1]
-            if stage_of[r] > stage_of[l] and not entry.is_zero:
+            s_r, s_l = stages[r - 1], stages[l - 1]
+            if s_r > s_l and not entry.is_zero:
                 violations.append(
                     f"A[{r},{l}] below the block diagonal is nonzero: "
                     f"{entry.render_plain()}"
                 )
-            elif stage_of[r] == stage_of[l] and refs[stage_of[r]].kind in (
-                "upper",
-                "cartan",
-            ):
+            elif s_r == s_l and refs[s_r - 1].kind in ("upper", "cartan"):
                 want = one if r == l else zero
                 if entry != want:
                     violations.append(
-                        f"A[{r},{l}] in a {refs[stage_of[r]].kind} diagonal "
+                        f"A[{r},{l}] in a {refs[s_r - 1].kind} diagonal "
                         f"block is {entry.render_plain()}"
                     )
     return violations

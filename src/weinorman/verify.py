@@ -30,7 +30,6 @@ from .basis import (
     build_ordered_basis,
     build_partition,
     matrix_from_coefficients,
-    structure_constants,
 )
 from .hierarchy import (
     assemble_A_numeric,
@@ -129,10 +128,9 @@ def _corrupted_algebra(N: int = 3) -> Algebra:
         index=last.index, role=first.role, position=first.position, matrix=first.matrix
     )
     bad_basis = OrderedBasis(N=N, elements=tuple(els))
-    tensor = structure_constants(bad_basis)
     partition = build_partition(bad_basis)
-    ads = all_ad_matrices(bad_basis, tensor)
-    return Algebra(basis=bad_basis, partition=partition, tensor=tensor, ads=ads)
+    ads = all_ad_matrices(bad_basis)
+    return Algebra(basis=bad_basis, partition=partition, ads=ads)
 
 
 def run_battery(

@@ -6,7 +6,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from weinorman import algebra, apply_exp_ad, check_algebraic_properties, exp_ad
+from weinorman import (
+    BasisElement,
+    OrderedBasis,
+    algebra,
+    all_ad_matrices,
+    apply_exp_ad,
+    build_ordered_basis,
+    check_algebraic_properties,
+    exp_ad,
+)
 
 EXPECTED_CHECKS = {
     "nilpotency-generators",
@@ -111,3 +120,14 @@ def test_corrupted_ordering_fails_battery():
     assert not report.passed
     failing = {c.name for c in report.checks if not c.passed}
     assert "root-sector-triangularity" in failing
+
+
+def test_closure_failure_raises():
+    # X_2 = E_13 replaced by a copy of X_1 = E_23: then
+    # [X_1, X_3] = [E_23, E_12] = -E_13 no longer expands in the basis
+    good = build_ordered_basis(3)
+    first = good.elements[0]
+    els = list(good.elements)
+    els[1] = BasisElement(2, first.role, first.position, first.matrix)
+    with pytest.raises(RuntimeError, match=r"\[X_1, X_3\] does not close"):
+        all_ad_matrices(OrderedBasis(N=3, elements=tuple(els)))

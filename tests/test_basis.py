@@ -1,4 +1,4 @@
-"""Ordered basis, block partition, and structure constants."""
+"""Ordered basis, block partition, and brackets read off the ad matrices."""
 
 import numpy as np
 import pytest
@@ -6,17 +6,23 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from weinorman import (
+    all_ad_matrices,
     build_ordered_basis,
     build_partition,
     expand_in_basis,
     matrix_from_coefficients,
-    structure_constants,
 )
 
 
 def _bracket_matrix(basis, p, q):
     Xp, Xq = basis.matrix(p), basis.matrix(q)
     return Xp @ Xq - Xq @ Xp
+
+
+def _bracket(ads, p, q):
+    """Nonzero coefficients {r: c} of [X_p, X_q]: column q of ad X_p."""
+    col = ads[p - 1].entries[:, q - 1]
+    return {int(r) + 1: int(col[r]) for r in np.flatnonzero(col)}
 
 
 def test_dimension_count():
@@ -106,7 +112,7 @@ def test_bracket_of_root_blocks_lands_in_earlier_block(N):
     # [J_i, J_j] is contained in J_min(i,j); same on the lower side.
     basis = build_ordered_basis(N)
     part = build_partition(basis)
-    tensor = structure_constants(basis)
+    ads = all_ad_matrices(basis)
     for blocks in (part.upper_blocks, part.lower_blocks):
         for i, bi in enumerate(blocks, start=1):
             for j, bj in enumerate(blocks, start=1):
@@ -115,8 +121,7 @@ def test_bracket_of_root_blocks_lands_in_earlier_block(N):
                 target = set(blocks[min(i, j) - 1])
                 for p in bi:
                     for q in bj:
-                        for r, _ in tensor.bracket(p, q):
-                            assert r in target
+                        assert set(_bracket(ads, p, q)) <= target
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
@@ -124,38 +129,47 @@ def test_block_prefixes_are_ideals_of_upper_triangulars(N):
     # span(J_1 .. J_k) is an ideal of the full upper-triangular subalgebra
     basis = build_ordered_basis(N)
     part = build_partition(basis)
-    tensor = structure_constants(basis)
+    ads = all_ad_matrices(basis)
     upper_all = [i for blk in part.upper_blocks for i in blk]
     for k in range(1, N):
         prefix = {i for blk in part.upper_blocks[:k] for i in blk}
         for p in prefix:
             for q in upper_all:
-                for r, _ in tensor.bracket(p, q):
-                    assert r in prefix
+                assert set(_bracket(ads, p, q)) <= prefix
 
 
-def test_structure_constants_match_matrix_brackets():
+def test_ad_columns_match_matrix_brackets():
     for N in (2, 3, 4):
         basis = build_ordered_basis(N)
-        tensor = structure_constants(basis)
+        ads = all_ad_matrices(basis)
         n = basis.n
         for p in range(1, n + 1):
             for q in range(1, n + 1):
                 M = sum(
-                    (c * basis.matrix(r) for r, c in tensor.bracket(p, q)),
+                    (c * basis.matrix(r) for r, c in _bracket(ads, p, q).items()),
                     np.zeros((N, N)),
                 )
                 assert np.array_equal(M, _bracket_matrix(basis, p, q))
 
 
-def test_structure_constants_antisymmetric():
+def test_ad_columns_antisymmetric():
     basis = build_ordered_basis(4)
-    tensor = structure_constants(basis)
+    ads = all_ad_matrices(basis)
     for p in range(1, basis.n + 1):
         for q in range(1, basis.n + 1):
-            fwd = dict(tensor.bracket(p, q))
-            rev = dict(tensor.bracket(q, p))
+            fwd = _bracket(ads, p, q)
+            rev = _bracket(ads, q, p)
             assert fwd == {r: -c for r, c in rev.items()}
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_stage_of_follows_block_order(N):
+    part = build_partition(build_ordered_basis(N))
+    for s, ref in enumerate(part.blocks_in_index_order(), start=1):
+        assert [part.stage_of(m) for m in ref.indices] == [s] * len(ref.indices)
+    for m in (0, N * N):
+        with pytest.raises(ValueError, match="outside"):
+            part.stage_of(m)
 
 
 @given(

@@ -90,7 +90,7 @@ def test_integrate_check_oracle(tan_ini, tmp_path, capsys):
     assert "oracle: " in capsys.readouterr().out
 
 
-def test_integrate_no_reanchor_aborts(tan_ini, capsys):
+def test_integrate_no_reanchor_aborts(tan_ini, tmp_path, capsys):
     code = main(["integrate", "--config", tan_ini, "--no-reanchor"])
     assert code == EXIT_NUMERICAL
     captured = capsys.readouterr()
@@ -98,6 +98,15 @@ def test_integrate_no_reanchor_aborts(tan_ini, capsys):
     assert obj["singularity"]["action"] == "abort"
     assert abs(obj["singularity"]["time"] - 1.5708) < 1e-3
     assert "integrate:" in captured.err
+
+    # a JSON string reads like the INI words, so "false" turns it off
+    cfg = tmp_path / "tan.json"
+    cfg.write_text(json.dumps({
+        "run": {"n": 2, "t1": 2.0, "samples": 41, "reanchor": "false"},
+        "signal": {"kind": "constant", "a": [1, 0, -1]},
+    }))
+    assert main(["integrate", "--config", str(cfg)]) == EXIT_NUMERICAL
+    capsys.readouterr()
 
 
 def test_integrate_json_config_deterministic(tmp_path, capsys):
@@ -129,13 +138,22 @@ def test_integrate_rejects_bad_configs(tmp_path, capsys):
     out = tmp_path / "traj.json"
     for line in ("t0 = -inf", "max_step = 0", "max_step = -1", "first_step = -0.1",
                  "atol = nan", "rtol = inf", "max_steps = 0",
-                 "u_threshold = nan", "cond_threshold = 1"):
+                 "u_threshold = nan", "cond_threshold = 1", "u_treshold = 0.5"):
         path = tmp_path / "bad_value.ini"
         path.write_text(TAN_INI.replace("samples = 41", f"samples = 41\n{line}"))
         code = main(["integrate", "--config", str(path), "--out", str(out)])
         assert code == EXIT_VALIDATION, line
         assert not out.exists()
-    capsys.readouterr()
+    assert "u_treshold" in capsys.readouterr().err
+
+    for key, value in (("cond_treshold", 10), ("t1", [1.0]), ("reanchor", "maybe")):
+        path = tmp_path / "bad_value.json"
+        run = {**HAMILTONIAN_JSON["run"], key: value}
+        path.write_text(json.dumps({**HAMILTONIAN_JSON, "run": run}))
+        code = main(["integrate", "--config", str(path), "--out", str(out)])
+        assert code == EXIT_VALIDATION, key
+        assert not out.exists()
+        assert key in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
