@@ -172,11 +172,20 @@ def _boolean(value) -> bool:
     return low in _TRUE
 
 
+def _integer(value) -> int:
+    """A JSON integer, an integral float, or a string of digits."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"cannot read integer {value!r}")
+    return int(value)
+
+
 # every key a run section may hold and the reader of its value (INI values
 # arrive as strings); all but n and seed are IntegrationConfig fields
 _RUN_KEYS = {
-    "n": int,
-    "seed": int,
+    "n": _integer,
+    "seed": _integer,
     "t0": float,
     "t1": float,
     "method": str,
@@ -185,11 +194,11 @@ _RUN_KEYS = {
     "max_step": float,
     "first_step": float,
     "fixed_step": float,
-    "samples": int,
+    "samples": _integer,
     "reanchor": _boolean,
     "u_threshold": float,
     "cond_threshold": float,
-    "max_steps": int,
+    "max_steps": _integer,
 }
 
 
@@ -220,7 +229,7 @@ def _config_from_obj(obj: dict) -> tuple[int, IntegrationConfig, int | None]:
 
 def _ini_to_obj(text: str) -> dict:
     """Translate the INI dialect into the JSON config structure."""
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
         cp.read_string(text)
     except configparser.Error as exc:

@@ -4,12 +4,13 @@
 K = exp(u_1 X_1) ... exp(u_n X_n) through the staged right-hand sides,
 reconstructing K at the requested sample times only, as its Gauss factors
 K = U diag(exp w) L (the upper coordinates fill U, the lower ones L, and w
-comes from the Cartan ones).  Charts are local: when coordinates blow up or
-the stage system turns ill-conditioned, the accumulated K is frozen as a
-left factor, u resets to zero, and the remaining evolution continues in a
-fresh chart (the traceless driving matrix gets conjugated by the frozen
-factor, K_base^-1 M_0 K_base, which is exactly what restarting the
-factorization at that point requires).
+comes from the Cartan ones).  Charts are kept small: once a coordinate
+leaves |u| <= SMALL_CHART_U (or, with a raised ``u_threshold``, the stage
+system turns ill-conditioned), the accumulated K is frozen as a left factor,
+u resets to zero, and the remaining evolution continues in a fresh chart
+(the traceless driving matrix gets conjugated by the frozen factor,
+K_base^-1 M_0 K_base, which is exactly what restarting the factorization at
+that point requires).
 
 `integrate_direct` integrates the matrix equation K' = M(t) K entry-wise
 with the same embedded pair at oracle tolerances — an independent route
@@ -92,15 +93,25 @@ class ChartSingularityError(RuntimeError):
         self.report = report
 
 
+# Above this |u| a chart's ODE stiffens and rebuilding K from U·D·L cancels
+# digits: the default switch threshold, and the gate above which cond(A) is
+# estimated every step when a user raises u_threshold past it.
+SMALL_CHART_U = 0.5
+
+
 @dataclass(frozen=True)
 class IntegrationConfig:
     """Knobs for both integration routes.
 
     ``samples`` output points are placed uniformly on [t0, t1] unless
     ``sample_times`` pins them explicitly.  ``u_threshold`` and
-    ``cond_threshold`` are the chart trust-region bounds; ``reanchor``
-    selects between transparent chart switching and aborting with a
-    :class:`ChartSingularityError`.
+    ``cond_threshold`` are the chart trust-region bounds: a chart is left
+    once some |u_i| exceeds ``u_threshold`` (by default SMALL_CHART_U, so
+    cond(A) is estimated only at a switch, for its report), or once
+    cond(A(u)) exceeds ``cond_threshold`` while max |u| lies in
+    (SMALL_CHART_U, u_threshold], which only a raised ``u_threshold``
+    opens.  ``reanchor`` selects between transparent chart switching and
+    aborting with a :class:`ChartSingularityError`.
     """
 
     t0: float = 0.0
@@ -114,7 +125,7 @@ class IntegrationConfig:
     samples: int = 201
     sample_times: tuple[float, ...] | None = None
     reanchor: bool = True
-    u_threshold: float = 1e6
+    u_threshold: float = SMALL_CHART_U
     cond_threshold: float = 1e12
     max_steps: int = 1_000_000
 
@@ -464,12 +475,12 @@ def integrate_wn(
         samples.add(t, scale * K_engine, K_engine, scale, h_last, y[:n], chart_no)
 
     def monitor(t: float, y: np.ndarray) -> SingularityReport | None:
-        """The trust-region check: u-growth first, then cond(A) once |u| > 0.5."""
+        """The trust-region check: u-growth, then cond(A) once |u| > SMALL_CHART_U."""
         u = y[:n]
         absu = np.abs(u)
         worst = int(np.argmax(absu))
         grown = absu[worst] > config.u_threshold
-        if not (grown or absu[worst] > 0.5):
+        if not (grown or absu[worst] > SMALL_CHART_U):
             return None
         cond = condition_estimate(assemble_A_gauss(alg, u))
         if grown:

@@ -228,7 +228,10 @@ def test_singularity_detection_and_reanchor():
         from weinorman import ConstantSignal
 
         sig = ConstantSignal(2, [1.0, 0.0, -1.0])
-        cfg = IntegrationConfig(t0=0.0, t1=2.0, samples=41)
+        # a trust region wide enough that u_1 = tan t runs up to its pole
+        cfg = IntegrationConfig(
+            t0=0.0, t1=2.0, samples=41, u_threshold=1e6, cond_threshold=1e12
+        )
         traj = integrate_wn(sig, cfg)
         assert traj.chart_events, "no chart breakdown detected"
         assert abs(traj.chart_events[0].time - np.pi / 2) < 1e-3

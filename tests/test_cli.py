@@ -1,6 +1,7 @@
 """Command-line entry points, exercised in-process."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,12 @@ kind = constant
 a = 1, 0, -1
 """
 
+# a trust region wide enough that u_1 = tan t runs up to its pole at pi/2,
+# for the tests that exercise pole handling
+POLE_INI = TAN_INI.replace(
+    "samples = 41", "samples = 41\nu_threshold = 1e6\ncond_threshold = 1e12"
+)
+
 HAMILTONIAN_JSON = {
     "run": {"n": 2, "t1": 1.0, "samples": 11, "seed": 7},
     "signal": {
@@ -43,6 +50,13 @@ HAMILTONIAN_JSON = {
 def tan_ini(tmp_path):
     path = tmp_path / "tan.ini"
     path.write_text(TAN_INI)
+    return str(path)
+
+
+@pytest.fixture
+def pole_ini(tmp_path):
+    path = tmp_path / "pole.ini"
+    path.write_text(POLE_INI)
     return str(path)
 
 
@@ -72,9 +86,9 @@ def test_derive_rejects_small_n(capsys):
 # -- integrate -----------------------------------------------------------------
 
 
-def test_integrate_ini_to_csv(tan_ini, tmp_path, capsys):
+def test_integrate_ini_to_csv(pole_ini, tmp_path, capsys):
     out = tmp_path / "traj.csv"
-    assert main(["integrate", "--config", tan_ini, "--out", str(out)]) == EXIT_OK
+    assert main(["integrate", "--config", pole_ini, "--out", str(out)]) == EXIT_OK
     text = capsys.readouterr().out
     assert "charts=2" in text
     assert "chart switch at t=1.57" in text
@@ -90,8 +104,8 @@ def test_integrate_check_oracle(tan_ini, tmp_path, capsys):
     assert "oracle: " in capsys.readouterr().out
 
 
-def test_integrate_no_reanchor_aborts(tan_ini, tmp_path, capsys):
-    code = main(["integrate", "--config", tan_ini, "--no-reanchor"])
+def test_integrate_no_reanchor_aborts(pole_ini, tmp_path, capsys):
+    code = main(["integrate", "--config", pole_ini, "--no-reanchor"])
     assert code == EXIT_NUMERICAL
     captured = capsys.readouterr()
     obj = json.loads(captured.out)
@@ -102,7 +116,8 @@ def test_integrate_no_reanchor_aborts(tan_ini, tmp_path, capsys):
     # a JSON string reads like the INI words, so "false" turns it off
     cfg = tmp_path / "tan.json"
     cfg.write_text(json.dumps({
-        "run": {"n": 2, "t1": 2.0, "samples": 41, "reanchor": "false"},
+        "run": {"n": 2, "t1": 2.0, "samples": 41, "reanchor": "false",
+                "u_threshold": 1e6, "cond_threshold": 1e12},
         "signal": {"kind": "constant", "a": [1, 0, -1]},
     }))
     assert main(["integrate", "--config", str(cfg)]) == EXIT_NUMERICAL
@@ -146,7 +161,9 @@ def test_integrate_rejects_bad_configs(tmp_path, capsys):
         assert not out.exists()
     assert "u_treshold" in capsys.readouterr().err
 
-    for key, value in (("cond_treshold", 10), ("t1", [1.0]), ("reanchor", "maybe")):
+    for key, value in (("cond_treshold", 10), ("t1", [1.0]), ("reanchor", "maybe"),
+                       ("n", 2.9), ("samples", 11.7), ("seed", "7.5"),
+                       ("max_steps", 1e3 + 0.5)):
         path = tmp_path / "bad_value.json"
         run = {**HAMILTONIAN_JSON["run"], key: value}
         path.write_text(json.dumps({**HAMILTONIAN_JSON, "run": run}))
@@ -156,12 +173,35 @@ def test_integrate_rejects_bad_configs(tmp_path, capsys):
         assert key in capsys.readouterr().err
 
 
+def test_integer_run_keys_accept_whole_numbers(tmp_path, capsys):
+    out = tmp_path / "traj.json"
+    for value in (3, "3", 3.0):
+        path = tmp_path / "whole.json"
+        run = {**HAMILTONIAN_JSON["run"], "samples": value, "seed": value}
+        path.write_text(json.dumps({**HAMILTONIAN_JSON, "run": run}))
+        assert main(["integrate", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        obj = json.loads(out.read_text())
+        assert len(obj["t"]) == 3 and obj["seed"] == 3
+    capsys.readouterr()
+
+
+def test_readme_ini_example_runs(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "readme.ini"
+    path.write_text(block)
+    out = tmp_path / "traj.csv"
+    assert main(["integrate", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert len(out.read_text().splitlines()) == 1 + 41
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_integrate_rk4_over_a_pole_fails_without_output(tmp_path, capsys):
     path = tmp_path / "rk4.ini"
     path.write_text(
-        TAN_INI.replace("t1 = 2.0\nsamples = 41", "t1 = 3.0\nsamples = 7\n"
-                        "method = rk4\nfixed_step = 0.01")
+        POLE_INI.replace("t1 = 2.0\nsamples = 41", "t1 = 3.0\nsamples = 7\n"
+                         "method = rk4\nfixed_step = 0.01")
     )
     out = tmp_path / "traj.json"
     assert main(["integrate", "--config", str(path), "--out", str(out)]) == EXIT_NUMERICAL

@@ -17,9 +17,10 @@ from weinorman import (
     factor_exp,
     integrate_direct,
     integrate_wn,
+    random_antihermitian_signal,
     reconstruct_K,
 )
-from weinorman.integrate import _drive, _StepBudget
+from weinorman.integrate import _drive, _StepBudget, condition_estimate
 
 SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 
@@ -131,6 +132,11 @@ def _tan_K(t):
     return np.array([[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]])
 
 
+# a trust region wide enough that u_1 = tan t runs up to its pole at pi/2,
+# for the tests that exercise pole handling
+POLE_TRUST_REGION = {"u_threshold": 1e6, "cond_threshold": 1e12}
+
+
 def test_reanchor_walks_through_singularity():
     cfg = IntegrationConfig(t1=2.0, samples=41, u_threshold=1e6)
     traj = integrate_wn(_tan_signal(), cfg)
@@ -148,7 +154,9 @@ def test_reanchor_walks_through_singularity():
 
 
 def test_no_reanchor_aborts_with_report():
-    cfg = IntegrationConfig(t1=2.0, samples=11, reanchor=False)
+    cfg = IntegrationConfig(
+        t1=2.0, samples=11, reanchor=False, **POLE_TRUST_REGION
+    )
     with pytest.raises(ChartSingularityError) as info:
         integrate_wn(_tan_signal(), cfg)
     report = info.value.report
@@ -196,6 +204,37 @@ def test_many_chart_switches_stay_accurate():
     assert max(traj.unitarity_defect) < 1e-8
 
 
+def test_default_small_charts_through_the_pole():
+    # at the default trust region every chart is left once |u| > 0.5, long
+    # before the pole: 12 switches on [0, 6]
+    cfg = IntegrationConfig(t1=6.0, samples=61)
+    traj = integrate_wn(_tan_signal(), cfg)
+    oracle = integrate_direct(_tan_signal(), cfg)
+    assert traj.chart_events
+    assert all(ev.trigger == "u-growth" for ev in traj.chart_events)
+    # measured 5.1e-10 (error) and 8.5e-10 (unitarity)
+    err = np.linalg.norm(traj.K - oracle.K, axis=(1, 2)).max()
+    assert err < 1e-8
+    assert max(traj.unitarity_defect) < 1e-8
+
+
+def test_default_estimates_condition_only_at_switches(monkeypatch):
+    # at the default u_threshold the monitor's cond(A) gate is never open
+    # without a switch, so the SVD runs once per chart event, for its report
+    calls = []
+
+    def counting(A):
+        calls.append(A.shape)
+        return condition_estimate(A)
+
+    monkeypatch.setattr("weinorman.integrate.condition_estimate", counting)
+    sig = random_antihermitian_signal(6, np.random.default_rng(6), sup_norm=5.0)
+    traj = integrate_wn(sig, IntegrationConfig(t1=1.0, samples=11))
+    assert traj.chart_events
+    assert len(calls) == len(traj.chart_events)
+    assert all(ev.condition >= 1 for ev in traj.chart_events)
+
+
 def _count_matrix_calls(monkeypatch) -> list:
     calls = []
     original = ConstantSignal.matrix
@@ -211,7 +250,8 @@ def _count_matrix_calls(monkeypatch) -> list:
 def test_adaptive_steps_reuse_last_stage(monkeypatch):
     # first same as last: 6 evaluations per step plus the first one
     calls = _count_matrix_calls(monkeypatch)
-    traj = integrate_wn(_tan_signal(), IntegrationConfig(t1=1.0, samples=11))
+    cfg = IntegrationConfig(t1=1.0, samples=11, **POLE_TRUST_REGION)
+    traj = integrate_wn(_tan_signal(), cfg)
     assert not traj.chart_events
     assert len(calls) == 6 * (traj.n_steps + traj.n_rejected) + 1
 
@@ -219,7 +259,8 @@ def test_adaptive_steps_reuse_last_stage(monkeypatch):
 def test_rejected_steps_reuse_first_stage(monkeypatch):
     # a rejected step keeps f(t, y); each chart evaluates it once afresh
     calls = _count_matrix_calls(monkeypatch)
-    traj = integrate_wn(_tan_signal(), IntegrationConfig(t1=6.0, samples=61))
+    cfg = IntegrationConfig(t1=6.0, samples=61, **POLE_TRUST_REGION)
+    traj = integrate_wn(_tan_signal(), cfg)
     assert traj.n_rejected == 3 and len(traj.chart_events) == 3
     charts = len(traj.chart_events) + 1
     assert len(calls) == 6 * (traj.n_steps + traj.n_rejected) + charts
@@ -287,9 +328,21 @@ def test_rk4_agrees_with_adaptive():
 def test_rk4_stepping_over_a_pole_raises():
     # the step at 1e-2 jumps the pole of u_1 = tan t at pi/2; the chart
     # frozen there is blown up and later steps turn non-finite
-    cfg = IntegrationConfig(t1=3.0, samples=7, method="rk4", fixed_step=1e-2)
+    cfg = IntegrationConfig(
+        t1=3.0, samples=7, method="rk4", fixed_step=1e-2, **POLE_TRUST_REGION
+    )
     with pytest.raises(RuntimeError, match="fixed_step = 0.01"):
         integrate_wn(_tan_signal(), cfg)
+
+
+def test_rk4_through_the_pole_with_small_charts():
+    # at the default trust region the chart is left at |u_1| = 0.5, far from
+    # the pole of tan t, so fixed-step RK4 tracks K exactly across it
+    cfg = IntegrationConfig(t1=3.0, samples=31, method="rk4", fixed_step=1e-3)
+    traj = integrate_wn(_tan_signal(), cfg)
+    assert traj.chart_events
+    err = [np.linalg.norm(K - _tan_K(t)) for t, K in zip(traj.t, traj.K)]
+    assert max(err) < 1e-9  # measured 1.4e-13
 
 
 def test_rk4_error_scales_with_h4():
