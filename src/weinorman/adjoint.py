@@ -146,11 +146,11 @@ def apply_exp_ad(ad: AdjointMatrix, u: complex, v: np.ndarray) -> np.ndarray:
     """exp(u * ad X_m) @ v without forming the matrix.
 
     The workhorse of the dense oracle ``assemble_A_numeric``: two sparse
-    integer mat-vecs for root generators, one entrywise scale for Cartan
-    generators.
+    integer products for root generators, one row scale for Cartan
+    generators.  ``v`` is a vector or a block of columns.
     """
     if ad.role == "cartan":
-        return np.exp(u * np.diagonal(ad.entries).astype(complex)) * v
+        return (np.exp(u * np.diagonal(ad.entries).astype(complex)) * v.T).T
     Av = ad.entries @ v
     return v + u * Av + (0.5 * u * u) * (ad.entries @ Av)
 

@@ -230,8 +230,9 @@ class IndexMaps:
     the slots of the units above/below the diagonal, whose entries in the
     flattened matrix are ``upper_at``/``lower_at``; the masks
     ``above``/``below`` are 1 strictly above/below the diagonal and 0
-    elsewhere.  ``gather`` maps each slot into the flattened matrix followed
-    by its N - 1 partial diagonal sums.
+    elsewhere, and ``eye`` is the (read-only) identity the Gauss factors
+    start from.  ``gather`` maps each slot into the flattened matrix
+    followed by its N - 1 partial diagonal sums.
     """
 
     N: int
@@ -242,6 +243,7 @@ class IndexMaps:
     lower_at: np.ndarray
     above: np.ndarray
     below: np.ndarray
+    eye: np.ndarray
     gather: np.ndarray
 
     def cartan_diagonal(self, a: np.ndarray) -> np.ndarray:
@@ -262,11 +264,15 @@ class IndexMaps:
         root units taken in basis order multiply to zero, so the product of
         the factors I + u_m X_m is I + sum_m u_m X_m.
         """
-        U = np.eye(self.N, dtype=complex)
-        L = U.copy()
-        U.flat[self.upper_at] = u[self.upper]
-        L.flat[self.lower_at] = u[self.lower]
-        return U, self.cartan_diagonal(u), L
+        L = self.eye.copy()
+        L.put(self.lower_at, u[self.lower])
+        return self.upper_factor(u), self.cartan_diagonal(u), L
+
+    def upper_factor(self, u: np.ndarray) -> np.ndarray:
+        """U of :meth:`gauss_factors`; reads only the upper slots of u."""
+        U = self.eye.copy()
+        U.put(self.upper_at, u[self.upper])
+        return U
 
     def expand(self, M: np.ndarray) -> np.ndarray:
         """Coefficients of traceless matrices M (..., N, N), shape (..., n)."""
@@ -324,9 +330,11 @@ def _build_index_maps(basis: OrderedBasis) -> IndexMaps:
     # stored, not np.triu/np.tril per call (each builds a fresh mask); complex,
     # so the products need no cast
     below = np.tri(N, k=-1, dtype=complex)
+    eye = np.eye(N, dtype=complex)
+    eye.setflags(write=False)
     return IndexMaps(
         N, cartan, upper, lower, gather[upper], gather[lower], below.T.copy(),
-        below, gather,
+        below, eye, gather,
     )
 
 

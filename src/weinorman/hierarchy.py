@@ -56,6 +56,7 @@ __all__ = [
     "emit",
     "parse_hierarchy_json",
     "rhs",
+    "riccati_rhs",
 ]
 
 JSON_SCHEMA = "wn-hierarchy/1"
@@ -357,6 +358,23 @@ def _derive_from_algebra(alg: Algebra) -> HierarchySchedule:
 # ---------------------------------------------------------------------------
 
 
+def riccati_rhs(
+    alg: Algebra, U: np.ndarray, M: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(T, upper u', Cartan u') for the unit upper Gauss factor U of a chart.
+
+    T = U^-1 M U.  The upper rates come from U' = U triu(T), which is closed
+    in U: the paper's hierarchy of matrix Riccati equations, one per column
+    block.  The Cartan rates are the partial sums of diag(T), a quadrature
+    once U is known.  :func:`rhs` and the unitary route of ``integrate_wn``
+    both read these two slices from here.
+    """
+    maps = alg.basis.maps
+    T = np.linalg.solve(U, M @ U)
+    upper = (U @ (T * maps.above)).take(maps.upper_at)
+    return T, upper, T.diagonal().cumsum()[: alg.N - 1]
+
+
 def rhs(alg: Algebra, u: np.ndarray, M: np.ndarray) -> np.ndarray:
     """u' for chart coordinates u and a traceless driving matrix M.
 
@@ -379,10 +397,8 @@ def rhs(alg: Algebra, u: np.ndarray, M: np.ndarray) -> np.ndarray:
         )
     maps = alg.basis.maps
     U, w, L = maps.gauss_factors(u)
-    T = np.linalg.solve(U, M @ U)
     up = np.empty(alg.n, dtype=complex)
-    up[maps.upper] = (U @ (T * maps.above)).take(maps.upper_at)
-    up[maps.cartan] = T.diagonal().cumsum()[: N - 1]
+    T, up[maps.upper], up[maps.cartan] = riccati_rhs(alg, U, M)
     # D^-1 X D scales X_ij by exp(w_j - w_i); the exponent is masked too, so
     # that an overflow above the diagonal cannot turn into 0 * inf = nan
     scale = maps.below * np.exp((w - w[:, None]) * maps.below)
@@ -435,13 +451,11 @@ def assemble_A_numeric(alg: Algebra, u: np.ndarray) -> np.ndarray:
     if u.shape != (alg.n,):
         raise ValueError(f"expected a {alg.n}-vector, got shape {u.shape}")
     n = alg.n
-    A = np.zeros((n, n), dtype=complex)
-    for l in range(1, n + 1):
-        v = np.zeros(n, dtype=complex)
-        v[l - 1] = 1.0
-        for k in range(l - 1, 0, -1):
-            v = apply_exp_ad(alg.ads[k - 1], u[k - 1], v)
-        A[:, l - 1] = v
+    A = np.eye(n, dtype=complex)
+    # each factor acts once, on the block of all later columns, the
+    # innermost (largest k) first
+    for k in range(n - 1, 0, -1):
+        A[:, k:] = apply_exp_ad(alg.ads[k - 1], u[k - 1], A[:, k:])
     return A
 
 

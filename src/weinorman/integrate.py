@@ -12,6 +12,15 @@ u resets to zero, and the remaining evolution continues in a fresh chart
 K_base^-1 M_0 K_base, which is exactly what restarting the factorization at
 that point requires).
 
+For a :class:`HamiltonianSignal` (M = -iH with H Hermitian, so K is
+unitary) the state shrinks to the paper's reduction: the upper coordinates,
+which obey a hierarchy of matrix Riccati equations closed in themselves,
+and the imaginary parts of the Cartan ones, a quadrature.  K is rebuilt from
+a QR factorisation, unitary to round-off by construction, and the remaining
+coordinates follow algebraically (see `_UnitaryChart`).  Every other signal
+integrates all n coordinates.  Both share the stepper, the trust region on
+all n coordinates, chart switching and sampling.
+
 `integrate_direct` integrates the matrix equation K' = M(t) K entry-wise
 with the same embedded pair at oracle tolerances — an independent route
 used for cross-checking, never mixed into the factorized path.
@@ -40,8 +49,9 @@ from .hierarchy import (
     assemble_A_numeric,
     condition_estimate,
     rhs,
+    riccati_rhs,
 )
-from .signals import CoefficientSignal
+from .signals import CoefficientSignal, HamiltonianSignal
 
 __all__ = [
     "ChartSingularityError",
@@ -196,6 +206,100 @@ def reconstruct_K(alg: Algebra, u: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a {alg.n}-vector, got shape {u.shape}")
     U, w, L = alg.basis.maps.gauss_factors(u)
     return (U * np.exp(w)) @ L
+
+
+# ---------------------------------------------------------------------------
+# charts: what the state holds, and the coordinates and K it stands for
+# ---------------------------------------------------------------------------
+
+
+class _GaussChart:
+    """All n coordinates, for any signal: u' = rhs(u, M), K = U·D·L."""
+
+    def __init__(self, alg: Algebra):
+        self.alg = alg
+        self.size = alg.n
+
+    def rates(self, y: np.ndarray, M0: np.ndarray) -> np.ndarray:
+        return rhs(self.alg, y[: self.size], M0)
+
+    def abs_u(self, y: np.ndarray, sampled: bool) -> np.ndarray:
+        return np.abs(y[: self.size])
+
+    def u(self, y: np.ndarray) -> np.ndarray:
+        return y[: self.size]
+
+    def K(self, y: np.ndarray) -> np.ndarray:
+        return reconstruct_K(self.alg, y[: self.size])
+
+
+class _UnitaryChart:
+    """The reduced chart of an anti-Hermitian M, whose K = U·D·L is unitary.
+
+    The state holds the upper coordinates, integrated as the Riccati
+    hierarchy U' = U triu(T) with T = U^-1 M U, and i Im of the Cartan ones,
+    integrated as Im of the partial sums of diag(T).  As K is unitary,
+    U^-H = K (D L)^H is a QR factorisation U^-H = Q R up to phases:
+    K = Q diag(r_ii / |r_ii| e^{i Im w_i}), |d_i| = |r_ii| gives
+    Re w_i = log |r_ii|, and L = D^-1 R^H diag(...) gives |L_ij| =
+    |R_ji| / |R_ii|.  The max-|u| test therefore needs R alone; Q is formed
+    for samples and switches.  The factorisation of the last state asked
+    about is kept, so a sample on the step just tested reuses it.
+    """
+
+    def __init__(self, alg: Algebra):
+        self.alg = alg
+        self.maps = alg.basis.maps
+        self.size = self.maps.cartan.stop  # the upper slots, then the Cartan ones
+        # the state the cached Q, R and (K, u) belong to
+        self._y = self._Q = self._R = self._full = None
+
+    def rates(self, y: np.ndarray, M0: np.ndarray) -> np.ndarray:
+        _, upper, cartan = riccati_rhs(self.alg, self.maps.upper_factor(y), M0)
+        return np.concatenate([upper, 1j * cartan.imag])
+
+    def _factor(self, y: np.ndarray, with_q: bool) -> np.ndarray:
+        """R of U^-H = Q R for the state y (and Q, if asked for)."""
+        if y is not self._y or (with_q and self._Q is None):
+            Uih = np.linalg.inv(self.maps.upper_factor(y)).conj().T
+            if with_q:
+                self._Q, self._R = np.linalg.qr(Uih)
+            else:
+                self._Q, self._R = None, np.linalg.qr(Uih, mode="r")
+            self._y, self._full = y, None
+        return self._R
+
+    def _head(self, y: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """The upper and Cartan coordinates: y plus Re w_i = log |r_ii|."""
+        head = y[: self.size].copy()
+        head[self.maps.cartan] += np.log(r).cumsum()[: self.alg.N - 1]
+        return head
+
+    def abs_u(self, y: np.ndarray, sampled: bool) -> np.ndarray:
+        R = self._factor(y, with_q=sampled)
+        r = np.abs(R.diagonal())
+        lower = (np.abs(R).T / r[:, None]).take(self.maps.lower_at)
+        return np.concatenate([np.abs(self._head(y, r)), lower])
+
+    def _rebuild(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(K, all n coordinates) for the state y."""
+        if y is not self._y or self._full is None:
+            R = self._factor(y, with_q=True)
+            d = R.diagonal()
+            r = np.abs(d)
+            head = self._head(y, r)
+            w = self.maps.cartan_diagonal(head)
+            phases = d / r * np.exp(1j * w.imag)
+            L = (R.conj().T * phases) / np.exp(w)[:, None]
+            u = np.concatenate([head, L.take(self.maps.lower_at)])
+            self._full = (self._Q * phases, u)
+        return self._full
+
+    def u(self, y: np.ndarray) -> np.ndarray:
+        return self._rebuild(y)[1]
+
+    def K(self, y: np.ndarray) -> np.ndarray:
+        return self._rebuild(y)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -445,13 +549,17 @@ def integrate_wn(
 ) -> Trajectory:
     """Integrate the factorized flow; see the module docstring.
 
-    Starts from K(t0) = I (all chart coordinates zero).  Raises
+    Starts from K(t0) = I (all chart coordinates zero).  A
+    :class:`HamiltonianSignal` takes the unitary route, any other signal the
+    general one; ``Trajectory.u`` holds all n coordinates on both.  Raises
     :class:`ChartSingularityError` on breakdown when re-anchoring is
     disabled, :class:`StepSizeUnderflow` if the controller stalls.
     """
     grid = _sample_grid(signal, config)
     alg = algebra(signal.N)
-    n = alg.n
+    chart = (
+        _UnitaryChart if isinstance(signal, HamiltonianSignal) else _GaussChart
+    )(alg)
     samples = _Samples(alg.N, charted=True)
     events: list[SingularityReport] = []
 
@@ -467,22 +575,22 @@ def integrate_wn(
         M0 = M - rate * eye
         if chart_no:
             M0 = K_base_inv @ M0 @ K_base
-        return np.concatenate([rhs(alg, y[:n], M0), [rate]])
+        return np.concatenate([chart.rates(y, M0), [rate]])
 
     def record(t: float, y: np.ndarray, h_last: float) -> None:
-        K_engine = K_base @ reconstruct_K(alg, y[:n])
-        scale = np.exp(y[n])
-        samples.add(t, scale * K_engine, K_engine, scale, h_last, y[:n], chart_no)
+        K_engine = K_base @ chart.K(y)
+        scale = np.exp(y[-1])
+        samples.add(t, scale * K_engine, K_engine, scale, h_last, chart.u(y), chart_no)
 
     def monitor(t: float, y: np.ndarray) -> SingularityReport | None:
         """The trust-region check: u-growth, then cond(A) once |u| > SMALL_CHART_U."""
-        u = y[:n]
-        absu = np.abs(u)
+        # a step that ends on the next sample time is recorded right after
+        absu = chart.abs_u(y, sampled=t == grid[len(samples)])
         worst = int(np.argmax(absu))
         grown = absu[worst] > config.u_threshold
         if not (grown or absu[worst] > SMALL_CHART_U):
             return None
-        cond = condition_estimate(assemble_A_gauss(alg, u))
+        cond = condition_estimate(assemble_A_gauss(alg, chart.u(y)))
         if grown:
             trigger, value = "u-growth", float(absu[worst])
         elif cond > config.cond_threshold:
@@ -499,7 +607,7 @@ def integrate_wn(
         )
 
     t = float(config.t0)
-    y = np.zeros(n + 1, dtype=complex)
+    y = np.zeros(chart.size + 1, dtype=complex)
     # records land strictly in grid order, so len(samples) tracks progress
     # through the grid across chart switches
     while True:
@@ -510,11 +618,11 @@ def integrate_wn(
             break
         if not config.reanchor:
             raise ChartSingularityError(report)
-        K_base = K_base @ reconstruct_K(alg, y[:n])
+        K_base = K_base @ chart.K(y)
         K_base_inv = np.linalg.inv(K_base)
         chart_no += 1
         events.append(report)
-        y = np.concatenate([np.zeros(n, dtype=complex), [y[n]]])
+        y = np.concatenate([np.zeros(chart.size, dtype=complex), [y[-1]]])
 
     return samples.trajectory(config.method, budget, seed, events)
 
@@ -709,11 +817,18 @@ def trajectory_from_csv(text: str) -> Trajectory:
     )
 
 
-def _c2pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def _pairs(a: np.ndarray) -> list:
+    """Complex array as nested lists ending in [re, im] pairs."""
+    a = np.asarray(a)
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
 def trajectory_to_json(traj: Trajectory) -> str:
+    """One line per top-level key, each value written by the C encoder.
+
+    ``json.dumps(..., indent=...)`` falls back to the pure-Python encoder;
+    the layout differs from an indented file, the values do not.
+    """
     obj = {
         "schema": TRAJECTORY_SCHEMA,
         "N": traj.N,
@@ -721,21 +836,20 @@ def trajectory_to_json(traj: Trajectory) -> str:
         "seed": traj.seed,
         "n_steps": traj.n_steps,
         "n_rejected": traj.n_rejected,
-        "t": [float(x) for x in traj.t],
-        "u": None
-        if traj.u is None
-        else [[_c2pair(z) for z in row] for row in traj.u],
-        "K": [[[_c2pair(z) for z in row] for row in Ks] for Ks in traj.K],
-        "phase_factor": [_c2pair(z) for z in traj.phase_factor],
+        "t": np.asarray(traj.t, dtype=float).tolist(),
+        "u": None if traj.u is None else _pairs(traj.u),
+        "K": _pairs(traj.K),
+        "phase_factor": _pairs(traj.phase_factor),
         "chart_index": None
         if traj.chart_index is None
         else [int(c) for c in traj.chart_index],
-        "unitarity_defect": [float(x) for x in traj.unitarity_defect],
-        "det_defect": [float(x) for x in traj.det_defect],
-        "step_size": [float(x) for x in traj.step_size],
+        "unitarity_defect": np.asarray(traj.unitarity_defect, dtype=float).tolist(),
+        "det_defect": np.asarray(traj.det_defect, dtype=float).tolist(),
+        "step_size": np.asarray(traj.step_size, dtype=float).tolist(),
         "chart_events": [asdict(ev) for ev in traj.chart_events],
     }
-    return json.dumps(obj, indent=2) + "\n"
+    lines = [f"{json.dumps(key)}: {json.dumps(value)}" for key, value in obj.items()]
+    return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
 def trajectory_from_json(text: str) -> Trajectory:

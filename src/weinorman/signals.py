@@ -10,7 +10,8 @@ psi' = tr M / N.  ``trace_rate`` exposes exactly that scalar.
 
 The ``hamiltonian`` kind takes Hermitian data H(t) (validated) and drives
 M = -i H, the Schroedinger propagator convention; its trace rate is
--i tr H / N, i.e. the usual global phase.
+-i tr H / N, i.e. the usual global phase.  Its propagator is unitary, and
+``integrate_wn`` takes the unitary route for it, by its type.
 """
 
 from __future__ import annotations
@@ -283,6 +284,12 @@ class HamiltonianSignal(_MatrixSignal):
             clean.append((float(w), Hc, Hs))
         object.__setattr__(self, "h0", h0)
         object.__setattr__(self, "modes", tuple(clean))
+        # M(t) = [1, cos w t, sin w t] @ -i [h0, Hc..., Hs...], one product
+        stack = [h0, *(Hc for _, Hc, _ in clean), *(Hs for _, _, Hs in clean)]
+        object.__setattr__(self, "_omega", np.array([w for w, _, _ in clean]))
+        object.__setattr__(
+            self, "_stack", -1j * np.array(stack).reshape(len(stack), -1)
+        )
 
     @property
     def N(self) -> int:
@@ -295,7 +302,28 @@ class HamiltonianSignal(_MatrixSignal):
         return H
 
     def matrix(self, t: float) -> np.ndarray:
-        return -1j * self.hamiltonian(t)
+        wt = self._omega * t
+        weights = np.concatenate(([1.0], np.cos(wt), np.sin(wt)))
+        return (weights @ self._stack).reshape(self._N, self._N)
+
+
+def _fourier_twin(signal: HamiltonianSignal) -> FourierSignal:
+    """The same M(t) = -i H(t) as a :class:`FourierSignal`.
+
+    ``integrate_wn`` takes the unitary route only for a HamiltonianSignal,
+    so the twin runs the same evolution on the general route.  H must be
+    traceless (a FourierSignal carries no trace); otherwise ValueError.
+    """
+    basis = algebra(signal.N).basis
+
+    def coefficients(H: np.ndarray) -> np.ndarray:
+        return expand_in_basis(-1j * H, basis)
+
+    return FourierSignal(
+        signal.N,
+        coefficients(signal.h0),
+        tuple((w, coefficients(Hc), coefficients(Hs)) for w, Hc, Hs in signal.modes),
+    )
 
 
 def random_antihermitian_signal(

@@ -30,6 +30,7 @@ from weinorman.hierarchy import (
     _derive_from_algebra,
     assemble_A_gauss,
     condition_estimate,
+    riccati_rhs,
 )
 from weinorman.verify import _corrupted_algebra
 
@@ -337,6 +338,26 @@ def test_symbolic_schedule_matches_numeric_peel():
     sym = sched.evaluate_rhs(uv, av)
     num = rhs(alg, uv, matrix_from_coefficients(av, alg.basis))
     assert np.linalg.norm(sym - num) < 1e-10 * max(np.linalg.norm(num), 1.0)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_riccati_rhs_matches_the_symbolic_stages(N):
+    # the numeric Riccati hierarchy and Cartan quadrature against the
+    # RiccatiStage and CartanStage equations of derive_hierarchy
+    alg = algebra(N)
+    maps = alg.basis.maps
+    sched = derive_hierarchy(N)
+    riccati = [i for st in sched.stages if st.kind == "riccati" for i in st.unknowns]
+    assert riccati == list(range(1, maps.upper.stop + 1))
+    rng = np.random.default_rng(40 + N)
+    for _ in range(5):
+        uv = 0.5 * (rng.standard_normal(alg.n) + 1j * rng.standard_normal(alg.n))
+        av = rng.standard_normal(alg.n) + 1j * rng.standard_normal(alg.n)
+        M = matrix_from_coefficients(av, alg.basis)
+        _, upper, cartan = riccati_rhs(alg, maps.upper_factor(uv), M)
+        sym = sched.evaluate_rhs(uv, av)
+        for got, want in ((upper, sym[maps.upper]), (cartan, sym[maps.cartan])):
+            assert np.linalg.norm(got - want) < 1e-12 * max(np.linalg.norm(want), 1.0)
 
 
 def test_rhs_validates_shapes():

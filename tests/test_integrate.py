@@ -20,7 +20,14 @@ from weinorman import (
     random_antihermitian_signal,
     reconstruct_K,
 )
-from weinorman.integrate import _drive, _StepBudget, condition_estimate
+from weinorman.hierarchy import assemble_A_gauss, rhs
+from weinorman.integrate import (
+    _drive,
+    _StepBudget,
+    _UnitaryChart,
+    condition_estimate,
+)
+from weinorman.signals import _fourier_twin
 
 SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 
@@ -414,6 +421,183 @@ def test_piecewise_domain_is_enforced():
     integrate_wn(sig, IntegrationConfig(t1=1.0, samples=5))  # inside: fine
 
 
+# -- unitary route -------------------------------------------------------------------
+
+
+def _reduced_state(alg, rng, size=0.5):
+    """A random reduced state: upper |u| <= size, Cartan i Im in i[-size, size]."""
+    maps = alg.basis.maps
+    y = np.zeros(maps.cartan.stop, dtype=complex)
+    k = maps.upper.stop
+    y[:k] = size * rng.uniform(0, 1, k) * np.exp(2j * np.pi * rng.uniform(size=k))
+    y[maps.cartan] = 1j * size * rng.uniform(-1, 1, alg.N - 1)
+    return y
+
+
+def test_reduced_rhs_is_the_upper_and_cartan_part_of_rhs():
+    # bit for bit, whatever the Cartan and lower coordinates hold
+    rng = np.random.default_rng(21)
+    for N in range(2, 9):
+        alg = algebra(N)
+        maps = alg.basis.maps
+        chart = _UnitaryChart(alg)
+        for _ in range(5):
+            u = 0.7 * (rng.standard_normal(alg.n) + 1j * rng.standard_normal(alg.n))
+            H = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+            M = -0.5j * (H + H.conj().T)
+            M -= np.trace(M) / N * np.eye(N)
+            full = rhs(alg, u, M)
+            reduced = chart.rates(u[: chart.size], M)
+            assert reduced.shape == (chart.size,)
+            assert np.array_equal(reduced[maps.upper], full[maps.upper])
+            assert np.array_equal(reduced[maps.cartan].imag, full[maps.cartan].imag)
+            assert not reduced[maps.cartan].real.any()
+
+
+def test_unitary_chart_rebuilds_a_unitary_K():
+    rng = np.random.default_rng(22)
+    for N in range(2, 9):
+        alg = algebra(N)
+        for _ in range(10):
+            y = _reduced_state(alg, rng)
+            chart = _UnitaryChart(alg)
+            abs_u = chart.abs_u(y, sampled=False)  # from R alone
+            K, u = chart.K(y), chart.u(y)
+            # measured at most 1.6e-15, 1.6e-15 and 1.7e-15
+            assert np.linalg.norm(K.conj().T @ K - np.eye(N)) < 1e-14
+            assert abs(np.linalg.det(K) - 1) < 1e-14
+            assert np.linalg.norm(K - reconstruct_K(alg, u)) < 1e-13
+            assert u.shape == (alg.n,)
+            assert np.array_equal(u[: chart.size].imag, y.imag)
+            assert np.allclose(abs_u, np.abs(u), rtol=0, atol=1e-14)
+
+
+def test_both_routes_match_the_oracle():
+    # each random signal runs on the unitary route and, as its FourierSignal
+    # twin, on the general route; both meet the pinned acceptance bounds
+    cfg = IntegrationConfig(t1=1.0, samples=11)
+    for N in range(2, 7):
+        rng = np.random.default_rng(8000 + N)
+        for _ in range(2):
+            sig = random_antihermitian_signal(N, rng, sup_norm=5.0)
+            oracle = integrate_direct(sig, cfg)
+            unitary = integrate_wn(sig, cfg)
+            general = integrate_wn(_fourier_twin(sig), cfg)
+            for traj in (unitary, general):
+                assert traj.u.shape == (11, N * N - 1)
+                assert compare(traj, oracle).max_frobenius < 1e-6
+                assert max(traj.unitarity_defect) < 1e-7
+                assert max(traj.det_defect) < 1e-8
+            assert max(unitary.unitarity_defect) < 1e-13
+            assert max(unitary.det_defect) < 1e-13
+            # the first chart holds the same coordinates on both routes
+            first = (unitary.chart_index == 0) & (general.chart_index == 0)
+            assert np.abs(unitary.u[first] - general.u[first]).max() < 1e-8
+
+
+def test_unitary_route_through_the_pole():
+    # the tangent case as a Hamiltonian: u_1 = tan t runs up to its pole
+    sig = HamiltonianSignal(2, np.array([[0.0, 1j], [-1j, 0.0]]))
+    cfg = IntegrationConfig(t1=2.0, samples=41, **POLE_TRUST_REGION)
+    traj = integrate_wn(sig, cfg)
+    assert abs(traj.chart_events[0].time - np.pi / 2) < 1e-3
+    # measured 1.1e-10 and 8.9e-16; K rebuilt as U C with C the Cholesky
+    # factor of (U^H U)^-1, instead of by QR, has a unitarity defect of 1.4e-8
+    assert np.linalg.norm(traj.K[-1] - _tan_K(2.0)) < 1e-5
+    assert max(traj.unitarity_defect) < 1e-12
+
+
+def test_unitary_route_takes_neither_rhs_nor_reconstruct_K(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("general-route layer called on the unitary route")
+
+    sig = random_antihermitian_signal(3, np.random.default_rng(3), sup_norm=5.0)
+    twin = _fourier_twin(sig)
+    cfg = IntegrationConfig(t1=1.0, samples=5)
+    general = integrate_wn(twin, cfg)
+    monkeypatch.setattr("weinorman.integrate.rhs", forbidden)
+    monkeypatch.setattr("weinorman.integrate.reconstruct_K", forbidden)
+    assert compare(integrate_wn(sig, cfg), general).max_frobenius < 1e-8
+    with pytest.raises(AssertionError, match="general-route"):
+        integrate_wn(twin, cfg)
+
+
+def test_unitary_samples_reuse_the_step_factorisation(monkeypatch):
+    # every step ends on a sample: one QR per accepted step, plus t0's
+    calls = []
+    qr = np.linalg.qr
+
+    def counting(a, mode="reduced"):
+        calls.append(mode)
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    sig = random_antihermitian_signal(4, np.random.default_rng(4), sup_norm=1.0)
+    traj = integrate_wn(sig, IntegrationConfig(t1=1.0, samples=201))
+    assert not traj.chart_events and traj.n_steps == 200
+    assert calls == ["reduced"] * (traj.n_steps + 1)
+    # on a coarse grid the steps between samples test R alone
+    calls.clear()
+    traj = integrate_wn(sig, IntegrationConfig(t1=1.0, samples=2))
+    assert calls.count("reduced") == 2
+    assert calls.count("r") == traj.n_steps - 1
+
+
+def test_unitary_route_reports_from_all_coordinates():
+    # H = diag(1, 0.5, -1.5): only the Cartan coordinates move, u(H_2) the
+    # fastest (|u| = 1.5 t); the reduced state holds just its imaginary part
+    alg = algebra(3)
+    sig = HamiltonianSignal(3, np.diag([1.0, 0.5, -1.5]))
+    cfg = IntegrationConfig(t1=1.0, samples=11, reanchor=False)
+    with pytest.raises(ChartSingularityError) as info:
+        integrate_wn(sig, cfg)
+    report = info.value.report
+    assert report.trigger == "u-growth"
+    assert report.generator_index == 5 and report.stage == 3
+    assert report.value == pytest.approx(1.5 * report.time, rel=1e-9)
+    assert report.condition == pytest.approx(
+        condition_estimate(assemble_A_gauss(alg, np.zeros(alg.n))), rel=1e-12
+    )
+    # a random signal reports the same coordinate, cond(A) and time as its
+    # twin on the general route
+    sig = random_antihermitian_signal(3, np.random.default_rng(31), sup_norm=5.0)
+    reports = []
+    for s in (sig, _fourier_twin(sig)):
+        with pytest.raises(ChartSingularityError) as info:
+            integrate_wn(s, cfg)
+        reports.append(info.value.report)
+    unitary, general = reports
+    assert unitary.generator_index == general.generator_index
+    assert unitary.stage == general.stage
+    assert abs(unitary.time - general.time) < 0.05
+    assert unitary.condition == pytest.approx(general.condition, rel=0.1)
+
+
+def test_unitary_route_rk4_matches_the_oracle():
+    sig = random_antihermitian_signal(4, np.random.default_rng(4), sup_norm=5.0)
+    cfg = IntegrationConfig(t1=1.0, samples=11, method="rk4", fixed_step=1e-3)
+    traj = integrate_wn(sig, cfg)
+    assert traj.chart_events
+    # measured 3.4e-12 (the general route's twin: 3.1e-12) and 1.9e-15
+    assert compare(traj, integrate_direct(sig, cfg)).max_frobenius < 1e-10
+    assert max(traj.unitarity_defect) < 1e-13
+
+
+def test_unitary_route_keeps_the_global_phase():
+    # tr H != 0 in every mode: the phase is exp(-i int tr H / N dt)
+    sig = random_antihermitian_signal(
+        3, np.random.default_rng(3), sup_norm=5.0, traceless=False
+    )
+    cfg = IntegrationConfig(t1=1.0, samples=11)
+    traj = integrate_wn(sig, cfg)
+    oracle = integrate_direct(sig, cfg)
+    assert abs(np.log(oracle.phase_factor[-1])) > 0.05  # 0.093 here
+    assert compare(traj, oracle).max_frobenius < 1e-8
+    assert np.abs(traj.phase_factor - oracle.phase_factor).max() < 1e-10
+    assert max(traj.det_defect) < 1e-13
+    assert max(traj.unitarity_defect) < 1e-13
+
+
 # -- persistence -------------------------------------------------------------------
 
 
@@ -438,6 +622,21 @@ def test_json_roundtrip_and_stability():
         ev["jump"] = 0.0
     old = Trajectory.from_json(json.dumps(obj))
     assert old.chart_events == traj.chart_events
+    assert old.to_json() == text
+
+
+def test_json_reads_the_indented_layout():
+    # files written with json.dumps(..., indent=2) before the compact layout
+    traj = integrate_wn(_tan_signal(), IntegrationConfig(t1=2.0, samples=11), seed=7)
+    text = traj.to_json()
+    old = Trajectory.from_json(json.dumps(json.loads(text), indent=2) + "\n")
+    for name in ("t", "K", "u", "phase_factor", "chart_index",
+                 "unitarity_defect", "det_defect", "step_size"):
+        assert np.array_equal(getattr(old, name), getattr(traj, name)), name
+    assert old.chart_events == traj.chart_events
+    assert (old.N, old.method, old.seed, old.n_steps, old.n_rejected) == (
+        traj.N, traj.method, traj.seed, traj.n_steps, traj.n_rejected
+    )
     assert old.to_json() == text
 
 

