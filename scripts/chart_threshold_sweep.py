@@ -11,7 +11,10 @@ against ``integrate_direct`` on the same grid.  The set covers
 - one ``random_antihermitian_signal(N, default_rng(N), sup_norm=3)`` per
   N = 2..12 on [0, 2];
 - non-unitary sl(N, C) constant signals, coefficients
-  0.7 (normal + i normal) from ``default_rng(100 + N)``, N = 3, 4, 6, on [0, 1].
+  0.7 (normal + i normal) from ``default_rng(100 + N)``, N = 3, 4, 6, on [0, 1];
+- the growing sl(3, C) signal ``ConstantSignal(3, [3, 1, 2, 1, 0.5, 2, 1, 3])``
+  (eigenvalues 4.02, -0.39, -3.63) on [0, 10], where K spans 17 decades and
+  the default threshold switches charts 58 times.
 
 Per run it records accepted steps, chart switches (and how many of them the
 condition test fired), the max ||K_wn - K_direct||_F over the samples, the
@@ -61,6 +64,9 @@ def cases():
         yield f"sl-N{N}", ConstantSignal(N, a), IntegrationConfig(
             t1=1.0, samples=21
         ), False
+    yield "sl-N3-long", ConstantSignal(3, [3, 1, 2, 1, 0.5, 2, 1, 3]), (
+        IntegrationConfig(t1=10.0, samples=11)
+    ), False
 
 
 def measure(signal, cfg, oracle, unitary, repeats):

@@ -64,8 +64,8 @@ def _cx(v) -> complex:
         return complex(float(v[0]), float(v[1]))
     if isinstance(v, str):
         tok = v.strip().replace(" ", "")
-        if "i" in tok and "j" not in tok:
-            tok = tok.replace("i", "j")
+        if tok.endswith("i"):  # the imaginary unit, not the i of "inf"
+            tok = tok[:-1] + "j"
         return complex(tok)
     raise ValueError(f"cannot read complex number from {v!r}")
 

@@ -6,11 +6,11 @@ reconstructing K at the requested sample times only, as its Gauss factors
 K = U diag(exp w) L (the upper coordinates fill U, the lower ones L, and w
 comes from the Cartan ones).  Charts are kept small: once a coordinate
 leaves |u| <= SMALL_CHART_U (or, with a raised ``u_threshold``, the stage
-system turns ill-conditioned), the accumulated K is frozen as a left factor,
-u resets to zero, and the remaining evolution continues in a fresh chart
-(the traceless driving matrix gets conjugated by the frozen factor,
-K_base^-1 M_0 K_base, which is exactly what restarting the factorization at
-that point requires).
+system turns ill-conditioned), the accumulated K is frozen as a right
+factor and u resets to zero inside the same step loop.  Propagators compose,
+K(t, t0) = K(t, t_s) K(t_s, t0), so the fresh chart solves K_c' = M_0 K_c
+from K_c(t_s) = I with the driving matrix unchanged: no factor is inverted,
+and after a switch u holds the coordinates of K(t) K(t_s)^-1.
 
 For a :class:`HamiltonianSignal` (M = -iH with H Hermitian, so K is
 unitary) the state shrinks to the paper's reduction: the upper coordinates,
@@ -351,21 +351,20 @@ def _drive(f, t, y, targets, cfg, budget, record, monitor):
     """Advance through ``targets`` (strictly increasing, all >= t).
 
     Calls ``record(target, y, h_last)`` exactly at each target and
-    ``monitor(t, y)`` after every accepted step.  Returns ``(t, y, report)``:
-    ``report`` is the first non-None value the monitor returned (the run
-    stops right after that step, before recording), or None once every
-    target is recorded.  The adaptive pair is first-same-as-last: the last
+    ``monitor(t, y)`` after every accepted step.  A non-None value from the
+    monitor replaces y (a chart switch), and the step size and first stage
+    restart as at t.  The adaptive pair is first-same-as-last: the last
     stage of an accepted step is f at its end point, which is the first
     stage of the next step, so a step costs 6 evaluations of f.
     """
     adaptive = cfg.method == "adaptive"
     if adaptive:
-        h = cfg.first_step or (cfg.t1 - cfg.t0) / 100.0
-        h = float(min(h, cfg.max_step))
+        h_start = cfg.first_step or (cfg.t1 - cfg.t0) / 100.0
+        h_start = float(min(h_start, cfg.max_step))
     else:
-        h = cfg.fixed_step
+        h_start = cfg.fixed_step
     tiny = _MIN_STEP_REL * max(abs(cfg.t0), abs(cfg.t1), 1.0)
-    h_last = 0.0
+    h, h_last = h_start, 0.0
     k1 = None  # f(t, y) once needed; kept across rejections
 
     for target in targets:
@@ -422,11 +421,10 @@ def _drive(f, t, y, targets, cfg, budget, record, monitor):
                     )
             t, y, h_last = t_new, y_new, h_try
             budget.accept()
-            report = monitor(t, y)
-            if report is not None:
-                return t, y, report
+            fresh = monitor(t, y)
+            if fresh is not None:
+                y, h, k1 = fresh, h_start, None
         record(target, y, h_last)
-    return t, y, None
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +439,8 @@ class Trajectory:
     ``K`` holds the physical propagator (any trace of M enters as the
     scalar factor ``phase_factor``); ``u`` holds chart coordinates at each
     sample for the factorized route (None for the direct route), valid in
-    the chart identified by ``chart_index``.  ``det_defect`` is measured on
+    the chart identified by ``chart_index``: after a switch at t_s they are
+    the coordinates of K(t) K(t_s)^-1.  ``det_defect`` is measured on
     the traceless engine factor K_0 = K / phase_factor, where det = 1 is
     the exact invariant; ``unitarity_defect`` is ||K^+ K - I||_F of the
     physical K.
@@ -564,26 +563,26 @@ def integrate_wn(
     events: list[SingularityReport] = []
 
     eye = np.eye(alg.N, dtype=complex)
-    K_base = eye
-    K_base_inv = eye
-    chart_no = 0
+    K_base = eye  # K(t_s, t0) at the last switch t_s; the chart holds K(t, t_s)
     budget = _StepBudget(config.max_steps)
 
     def f(t: float, y: np.ndarray) -> np.ndarray:
         M = signal.matrix(t)
         rate = np.trace(M) / alg.N
-        M0 = M - rate * eye
-        if chart_no:
-            M0 = K_base_inv @ M0 @ K_base
-        return np.concatenate([chart.rates(y, M0), [rate]])
+        return np.concatenate([chart.rates(y, M - rate * eye), [rate]])
 
     def record(t: float, y: np.ndarray, h_last: float) -> None:
-        K_engine = K_base @ chart.K(y)
+        K_engine = chart.K(y) @ K_base
         scale = np.exp(y[-1])
-        samples.add(t, scale * K_engine, K_engine, scale, h_last, chart.u(y), chart_no)
+        u, chart_no = chart.u(y), len(events)
+        samples.add(t, scale * K_engine, K_engine, scale, h_last, u, chart_no)
 
-    def monitor(t: float, y: np.ndarray) -> SingularityReport | None:
-        """The trust-region check: u-growth, then cond(A) once |u| > SMALL_CHART_U."""
+    def monitor(t: float, y: np.ndarray) -> np.ndarray | None:
+        """The trust-region check: u-growth, then cond(A) once |u| > SMALL_CHART_U.
+
+        On a breakdown: freeze K into K_base, return the new chart's state.
+        """
+        nonlocal K_base
         # a step that ends on the next sample time is recorded right after
         absu = chart.abs_u(y, sampled=t == grid[len(samples)])
         worst = int(np.argmax(absu))
@@ -597,7 +596,7 @@ def integrate_wn(
             trigger, value = "condition", cond
         else:
             return None
-        return SingularityReport(
+        report = SingularityReport(
             time=float(t),
             trigger=trigger,
             value=value,
@@ -605,25 +604,18 @@ def integrate_wn(
             stage=alg.partition.stage_of(worst + 1),
             condition=cond,
         )
-
-    t = float(config.t0)
-    y = np.zeros(chart.size + 1, dtype=complex)
-    # records land strictly in grid order, so len(samples) tracks progress
-    # through the grid across chart switches
-    while True:
-        t, y, report = _drive(
-            f, t, y, grid[len(samples) :], config, budget, record, monitor
-        )
-        if report is None:
-            break
         if not config.reanchor:
             raise ChartSingularityError(report)
-        K_base = K_base @ chart.K(y)
-        K_base_inv = np.linalg.inv(K_base)
-        chart_no += 1
+        K_base = chart.K(y) @ K_base
+        if not np.isfinite(K_base).all():
+            rk4 = f"; fixed_step = {config.fixed_step} is too coarse here"
+            raise RuntimeError(f"chart frozen at t = {t:.9f} is non-finite"
+                               + (rk4 if config.method == "rk4" else ""))
         events.append(report)
-        y = np.concatenate([np.zeros(chart.size, dtype=complex), [y[-1]]])
+        return np.concatenate([np.zeros(chart.size, dtype=complex), [y[-1]]])
 
+    y = np.zeros(chart.size + 1, dtype=complex)
+    _drive(f, float(config.t0), y, grid, config, budget, record, monitor)
     return samples.trajectory(config.method, budget, seed, events)
 
 
@@ -678,6 +670,7 @@ class ComparisonReport:
     t_lo: float
     t_hi: float
     max_frobenius: float
+    max_relative: float  # of ||K_a - K_b||_F / ||K_b||_F; K need not be unitary
     rms_frobenius: float
     max_unitarity_diff: float
 
@@ -685,13 +678,14 @@ class ComparisonReport:
         return (
             f"{self.n_points} samples on [{self.t_lo:.6g}, {self.t_hi:.6g}]: "
             f"max ||dK||_F = {self.max_frobenius:.3e}, "
+            f"max ||dK||_F / ||K||_F = {self.max_relative:.3e}, "
             f"rms = {self.rms_frobenius:.3e}, "
             f"max |d unitarity| = {self.max_unitarity_diff:.3e}"
         )
 
 
 def compare(a: Trajectory, b: Trajectory) -> ComparisonReport:
-    """Frobenius error on K over the overlapping time window.
+    """Frobenius error on K, absolute and relative to ``b``, over the overlap.
 
     Samples of ``a`` inside the overlap are compared against ``b``
     linearly interpolated (entrywise) between its bracketing samples;
@@ -710,6 +704,7 @@ def compare(a: Trajectory, b: Trajectory) -> ComparisonReport:
     if times.size == 0:
         raise ValueError("no samples of the first trajectory in the overlap")
     diffs = []
+    scales = []
     uni_diffs = []
     for idx, (t, Ka) in enumerate(zip(times, a.K[sel])):
         j = int(np.clip(np.searchsorted(b.t, t) - 1, 0, b.t.size - 2))
@@ -718,6 +713,7 @@ def compare(a: Trajectory, b: Trajectory) -> ComparisonReport:
         theta = min(max(theta, 0.0), 1.0)
         Kb = (1 - theta) * b.K[j] + theta * b.K[j + 1]
         diffs.append(float(np.linalg.norm(Ka - Kb)))
+        scales.append(float(np.linalg.norm(Kb)))
         ub = (1 - theta) * b.unitarity_defect[j] + theta * b.unitarity_defect[j + 1]
         uni_diffs.append(abs(float(a.unitarity_defect[sel][idx]) - float(ub)))
     diffs = np.array(diffs)
@@ -726,6 +722,7 @@ def compare(a: Trajectory, b: Trajectory) -> ComparisonReport:
         t_lo=float(times[0]),
         t_hi=float(times[-1]),
         max_frobenius=float(diffs.max()),
+        max_relative=float((diffs / np.array(scales)).max()),
         rms_frobenius=float(np.sqrt(np.mean(diffs**2))),
         max_unitarity_diff=float(max(uni_diffs)),
     )

@@ -67,11 +67,18 @@ class CoefficientSignal(ABC):
         return None
 
 
+def _require_finite(v, what: str) -> None:
+    # a NaN or inf in the data otherwise surfaces only as a stalled stepper
+    if not np.isfinite(v).all():
+        raise ValueError(f"{what} has a non-finite value")
+
+
 def _as_coeff_vector(v, N: int, what: str) -> np.ndarray:
     v = np.asarray(v, dtype=complex)
     n = N * N - 1
     if v.shape != (n,):
         raise ValueError(f"{what} must have shape ({n},), got {v.shape}")
+    _require_finite(v, what)
     return v
 
 
@@ -79,7 +86,14 @@ def _as_matrix(v, N: int, what: str) -> np.ndarray:
     v = np.asarray(v, dtype=complex)
     if v.shape != (N, N):
         raise ValueError(f"{what} must have shape ({N}, {N}), got {v.shape}")
+    _require_finite(v, what)
     return v
+
+
+def _as_frequency(w, what: str) -> float:
+    w = float(w)
+    _require_finite(w, what)
+    return w
 
 
 def _require_hermitian(H: np.ndarray, what: str, tol: float = 1e-12) -> None:
@@ -165,7 +179,7 @@ class FourierSignal(CoefficientSignal):
             "modes",
             tuple(
                 (
-                    float(w),
+                    _as_frequency(w, f"frequency of mode {i}"),
                     _as_coeff_vector(c, self._N, f"cos vector of mode {i}"),
                     _as_coeff_vector(s, self._N, f"sin vector of mode {i}"),
                 )
@@ -220,6 +234,8 @@ class PiecewiseSignal(_MatrixSignal):
                 f"need times (S,) and values (S, {self._N}, {self._N}); got "
                 f"{times.shape} and {values.shape}"
             )
+        _require_finite(times, "times")
+        _require_finite(values, "values")
         if np.any(np.diff(times) <= 0):
             raise ValueError("sample times must be strictly increasing")
         if self.rule == "cubic":
@@ -281,7 +297,7 @@ class HamiltonianSignal(_MatrixSignal):
             Hs = _as_matrix(Hs, self._N, f"sin matrix of mode {i}")
             _require_hermitian(Hc, f"cos matrix of mode {i}")
             _require_hermitian(Hs, f"sin matrix of mode {i}")
-            clean.append((float(w), Hc, Hs))
+            clean.append((_as_frequency(w, f"frequency of mode {i}"), Hc, Hs))
         object.__setattr__(self, "h0", h0)
         object.__setattr__(self, "modes", tuple(clean))
         # M(t) = [1, cos w t, sin w t] @ -i [h0, Hc..., Hs...], one product

@@ -173,6 +173,25 @@ def test_integrate_rejects_bad_configs(tmp_path, capsys):
         assert key in capsys.readouterr().err
 
 
+def test_integrate_rejects_non_finite_signal_data(tmp_path, capsys):
+    out = tmp_path / "traj.json"
+    fourier = {"kind": "fourier", "a0": [0, 1, 0],
+               "modes": [{"omega": "nan", "cos": [1, 0, 0], "sin": [0, 0, 1]}]}
+    for signal, field in (
+        ({"kind": "constant", "a": [1, "nan", -1]}, "a"),
+        ({"kind": "constant", "a": [1, "inf", -1]}, "a"),
+        ({"kind": "constant", "a": ["1", "2-infi", "-1"]}, "a"),
+        (fourier, "frequency of mode 0"),
+        ({**HAMILTONIAN_JSON["signal"], "h0": [["-inf", 0], [0, 1]]}, "h0"),
+    ):
+        path = tmp_path / "non_finite.json"
+        path.write_text(json.dumps({"run": {"n": 2}, "signal": signal}))
+        code = main(["integrate", "--config", str(path), "--out", str(out)])
+        assert code == EXIT_VALIDATION, signal
+        assert not out.exists()
+        assert f"{field} has a non-finite value" in capsys.readouterr().err
+
+
 def test_integer_run_keys_accept_whole_numbers(tmp_path, capsys):
     out = tmp_path / "traj.json"
     for value in (3, "3", 3.0):

@@ -1,9 +1,11 @@
 """Product-of-exponentials integration against closed forms and the dense oracle."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from weinorman import (
     ChartSingularityError,
@@ -209,6 +211,23 @@ def test_many_chart_switches_stay_accurate():
     err = np.linalg.norm(traj.K - oracle.K, axis=(1, 2)).max()
     assert err < 1e-8
     assert max(traj.unitarity_defect) < 1e-8
+    # a switch that lands on a sample time keeps the step that reached it
+    assert (traj.step_size[1:] > 0).all()
+
+
+def test_non_unitary_signal_across_many_switches():
+    # a growing sl(3) propagator (eigenvalues 4.02, -0.39, -3.63): each new
+    # chart composes on the right of the frozen factor, so the ill-conditioned
+    # K(t_s) is never inverted
+    sig = ConstantSignal(3, [3, 1, 2, 1, 0.5, 2, 1, 3])
+    traj = integrate_wn(sig, IntegrationConfig(t1=10.0, samples=11))
+    assert len(traj.chart_events) >= 50  # measured 58
+    M = sig.matrix(0.0)
+    exact = np.array([scipy.linalg.expm(M * t) for t in traj.t])
+    rel = np.linalg.norm(traj.K - exact, axis=(1, 2)) / np.linalg.norm(
+        exact, axis=(1, 2)
+    )
+    assert rel.max() < 1e-8  # measured 5.9e-10
 
 
 def test_default_small_charts_through_the_pole():
@@ -286,11 +305,13 @@ def _drive_exp(f):
     # y' = f(t, y) from y(0) = 1 to t = 1, first trial step 0.5
     cfg = IntegrationConfig(t1=1.0, first_step=0.5, atol=1e-3, rtol=1e-3)
     budget = _StepBudget(cfg.max_steps)
-    t, y, report = _drive(
+    recorded = []
+    _drive(
         f, 0.0, np.ones(1, dtype=complex), [1.0], cfg, budget,
-        lambda target, y, h: None, lambda t, y: None,
+        lambda target, y, h: recorded.append((target, y)), lambda t, y: None,
     )
-    assert report is None and t == 1.0
+    [(t, y)] = recorded
+    assert t == 1.0
     return y, budget
 
 
@@ -666,7 +687,18 @@ def test_compare_self_is_zero():
     assert rep.max_frobenius == 0.0
     assert rep.rms_frobenius == 0.0
     assert rep.max_unitarity_diff == 0.0
+    assert rep.max_relative == 0.0
     assert "max ||dK||_F" in rep.describe()
+    assert "max ||dK||_F / ||K||_F" in rep.describe()
+
+
+def test_compare_reports_relative_error():
+    traj = integrate_wn(_rotation_signal(), IntegrationConfig(t1=1.0, samples=3))
+    scaled = dataclasses.replace(traj, K=2 * traj.K)
+    rep = compare(traj, scaled)
+    # ||K - 2K|| / ||2K|| = 1/2 for every sample
+    assert rep.max_relative == pytest.approx(0.5)
+    assert rep.max_frobenius == pytest.approx(np.sqrt(2))
 
 
 def test_compare_rejects_mismatch():

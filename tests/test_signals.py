@@ -120,6 +120,36 @@ def test_piecewise_validation():
         PiecewiseSignal(2, [0.0, 0.3, 0.6, 1.0], good, rule="nearest")
 
 
+def _h(x):
+    return np.array([[x, 0.0], [0.0, 1.0]])
+
+
+_V = np.ones(3)
+_H = np.eye(2)
+# (field the error must name, constructor given the bad value)
+_NON_FINITE_CASES = [
+    ("a", lambda x: ConstantSignal(2, [1.0, x, -1.0])),
+    ("power-1", lambda x: PolynomialSignal(2, (_V, [0.0, 0.0, x]))),
+    ("a0", lambda x: FourierSignal(2, [x, 0.0, 0.0], ())),
+    ("sin vector", lambda x: FourierSignal(2, _V, ((1.0, _V, [x, 0, 0]),))),
+    ("frequency", lambda x: FourierSignal(2, _V, ((x, _V, _V),))),
+    ("h0", lambda x: HamiltonianSignal(2, _h(x))),
+    ("cos matrix", lambda x: HamiltonianSignal(2, _H, ((1.0, _h(x), _H),))),
+    ("frequency", lambda x: HamiltonianSignal(2, _H, ((x, _H, _H),))),
+    ("times", lambda x: PiecewiseSignal(2, [0.0, x], [_H, _H], rule="linear")),
+    ("values", lambda x: PiecewiseSignal(2, [0, 1], [_H, _h(x)], rule="linear")),
+]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "field, build", _NON_FINITE_CASES, ids=[f for f, _ in _NON_FINITE_CASES]
+)
+def test_non_finite_data_is_rejected_by_name(field, build, bad):
+    with pytest.raises(ValueError, match=f"{field}.*non-finite"):
+        build(bad)
+
+
 def test_random_signal_norm_bound_and_reproducibility():
     for N in (2, 3, 4):
         sig = random_antihermitian_signal(N, np.random.default_rng(42), sup_norm=5.0)
