@@ -51,7 +51,6 @@ from .integrate import (
     StepSizeUnderflow,
     Trajectory,
     compare,
-    factor_exp,
     integrate_direct,
     integrate_wn,
     reconstruct_K,
@@ -111,7 +110,6 @@ __all__ = [
     "emit",
     "expand_in_basis",
     "exp_ad",
-    "factor_exp",
     "integrate_direct",
     "integrate_wn",
     "matrix_from_coefficients",

@@ -6,7 +6,8 @@ Four subcommands: ``derive`` emits the staged hierarchy for a given N,
 
 Exit codes: 0 success, 1 validation error (bad flags, config, schema),
 2 numerical failure (chart singularity with re-anchoring off, step-size
-underflow), 3 verification failure.
+underflow, an exhausted step budget, a singular matrix, on the product route
+or on the ``--check-oracle`` one), 3 verification failure.
 
 Config files are JSON (by ``.json`` extension or a leading ``{``) or INI
 key/value sections.  See the README for the schema; the INI dialect covers
@@ -49,6 +50,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 EXIT_VERIFY = 3
+
+# numpy's LinAlgError is a ValueError, but it is never a bad input
+_NUMERICAL_ERRORS = (StepSizeUnderflow, RuntimeError, np.linalg.LinAlgError)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +381,7 @@ def cmd_integrate(args) -> int:
         print(json.dumps(report, indent=2))
         print(f"integrate: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (StepSizeUnderflow, RuntimeError) as exc:
+    except _NUMERICAL_ERRORS as exc:
         print(f"integrate: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:
@@ -395,7 +399,11 @@ def cmd_integrate(args) -> int:
             f"chart switch at t={ev.time:.9f} ({ev.trigger} {ev.value:.3e})"
         )
     if args.check_oracle:
-        oracle = integrate_direct(signal, cfg)
+        try:
+            oracle = integrate_direct(signal, cfg)
+        except _NUMERICAL_ERRORS as exc:
+            print(f"integrate: --check-oracle: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
         rep = compare(traj, oracle)
         lines.append(f"oracle: {rep.describe()}")
     text = traj.to_csv() if fmt == "csv" else traj.to_json()

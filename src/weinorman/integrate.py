@@ -25,12 +25,19 @@ all n coordinates, chart switching and sampling.
 with the same embedded pair at oracle tolerances — an independent route
 used for cross-checking, never mixed into the factorized path.
 
-Both steppers are deliberately plain: an embedded Dormand-Prince 5(4) pair
-with a standard controller (adaptive default; first-same-as-last, so an
-accepted step's last stage is the next step's first and a step costs 6
-right-hand sides), and classic RK4 with a fixed step.  Steps are clamped to
+The factorized flow and the oracle step with one stage loop, each with its
+own right-hand side, and its two schemes are deliberately plain and are
+data (`_Tableau`): an embedded Dormand-Prince 5(4) pair with a standard
+controller (adaptive default; first-same-as-last, so an accepted step's
+last stage is the next step's first and a step costs 6 right-hand sides),
+and classic RK4 with a fixed step.  M(t) does not depend on the state, so
+each attempted step asks the signal once for all its new stage times (5 for
+DP5(4), 2 for RK4) and the factorized route removes the trace from that
+batch at once; the stages of a run share one buffer.  Steps are clamped to
 land exactly on sample times, so trajectories on the same grid compare
-sample-by-sample without interpolation.
+sample-by-sample without interpolation.  Floating-point warnings are
+silenced for a run: a blow-up shows as a non-finite stage or state, which
+rejects the step or raises.
 """
 
 from __future__ import annotations
@@ -61,7 +68,6 @@ __all__ = [
     "StepSizeUnderflow",
     "Trajectory",
     "compare",
-    "factor_exp",
     "integrate_direct",
     "integrate_wn",
     "reconstruct_K",
@@ -182,23 +188,6 @@ class IntegrationConfig:
 # ---------------------------------------------------------------------------
 
 
-def factor_exp(alg: Algebra, m: int, u: complex) -> np.ndarray:
-    """exp(u X_m) in closed form.
-
-    Root units square to zero (I + u E_pq); Cartan elements exponentiate to
-    diag(1, ..., e^u, e^{-u}, ..., 1) at slots (l, l+1).
-    """
-    el = alg.basis.element(m)
-    N = alg.N
-    if el.role == "cartan":
-        l = el.position[0]
-        d = np.ones(N, dtype=complex)
-        d[l - 1] = np.exp(u)
-        d[l] = np.exp(-u)
-        return np.diag(d)
-    return np.eye(N, dtype=complex) + u * el.matrix
-
-
 def reconstruct_K(alg: Algebra, u: np.ndarray) -> np.ndarray:
     """K = exp(u_1 X_1) ... exp(u_n X_n), as its Gauss factors U diag(exp w) L."""
     u = np.asarray(u, dtype=complex)
@@ -220,8 +209,8 @@ class _GaussChart:
         self.alg = alg
         self.size = alg.n
 
-    def rates(self, y: np.ndarray, M0: np.ndarray) -> np.ndarray:
-        return rhs(self.alg, y[: self.size], M0)
+    def rates(self, M0: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
+        out[: self.size] = rhs(self.alg, y[: self.size], M0)
 
     def abs_u(self, y: np.ndarray, sampled: bool) -> np.ndarray:
         return np.abs(y[: self.size])
@@ -242,9 +231,10 @@ class _UnitaryChart:
     U^-H = K (D L)^H is a QR factorisation U^-H = Q R up to phases:
     K = Q diag(r_ii / |r_ii| e^{i Im w_i}), |d_i| = |r_ii| gives
     Re w_i = log |r_ii|, and L = D^-1 R^H diag(...) gives |L_ij| =
-    |R_ji| / |R_ii|.  The max-|u| test therefore needs R alone; Q is formed
-    for samples and switches.  The factorisation of the last state asked
-    about is kept, so a sample on the step just tested reuses it.
+    |R_ji| / |R_ii|.  The max-|u| test therefore needs R alone, which it
+    reads from LAPACK's raw QR output; Q is formed for samples and switches.
+    The factorisation of the last state asked about is kept, so a sample on
+    the step just tested reuses it.
     """
 
     def __init__(self, alg: Algebra):
@@ -252,22 +242,29 @@ class _UnitaryChart:
         self.maps = alg.basis.maps
         self.size = self.maps.cartan.stop  # the upper slots, then the Cartan ones
         # the state the cached Q, R and (K, u) belong to
-        self._y = self._Q = self._R = self._full = None
+        self._y = self._Q = self._Rt = self._full = None
 
-    def rates(self, y: np.ndarray, M0: np.ndarray) -> np.ndarray:
-        _, upper, cartan = riccati_rhs(self.alg, self.maps.upper_factor(y), M0)
-        return np.concatenate([upper, 1j * cartan.imag])
+    def rates(self, M0: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
+        maps = self.maps
+        _, out[maps.upper], cartan = riccati_rhs(self.alg, maps.upper_factor(y), M0)
+        out[maps.cartan] = 1j * cartan.imag
 
     def _factor(self, y: np.ndarray, with_q: bool) -> np.ndarray:
-        """R of U^-H = Q R for the state y (and Q, if asked for)."""
+        """R^T, in the lower triangle, of U^-H = Q R for the state y.
+
+        Q is formed if asked for.  Without it the raw LAPACK factor is
+        returned as is: R^T below and on its diagonal, Householder vectors
+        above, which no reader here looks at.
+        """
         if y is not self._y or (with_q and self._Q is None):
             Uih = np.linalg.inv(self.maps.upper_factor(y)).conj().T
             if with_q:
-                self._Q, self._R = np.linalg.qr(Uih)
+                self._Q, R = np.linalg.qr(Uih)
+                self._Rt = R.T
             else:
-                self._Q, self._R = None, np.linalg.qr(Uih, mode="r")
+                self._Q, self._Rt = None, np.linalg.qr(Uih, mode="raw")[0]
             self._y, self._full = y, None
-        return self._R
+        return self._Rt
 
     def _head(self, y: np.ndarray, r: np.ndarray) -> np.ndarray:
         """The upper and Cartan coordinates: y plus Re w_i = log |r_ii|."""
@@ -276,21 +273,21 @@ class _UnitaryChart:
         return head
 
     def abs_u(self, y: np.ndarray, sampled: bool) -> np.ndarray:
-        R = self._factor(y, with_q=sampled)
-        r = np.abs(R.diagonal())
-        lower = (np.abs(R).T / r[:, None]).take(self.maps.lower_at)
+        Rt = self._factor(y, with_q=sampled)
+        r = np.abs(Rt.diagonal())
+        lower = (np.abs(Rt) / r[:, None]).take(self.maps.lower_at)
         return np.concatenate([np.abs(self._head(y, r)), lower])
 
     def _rebuild(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(K, all n coordinates) for the state y."""
         if y is not self._y or self._full is None:
-            R = self._factor(y, with_q=True)
-            d = R.diagonal()
+            Rt = self._factor(y, with_q=True)
+            d = Rt.diagonal()
             r = np.abs(d)
             head = self._head(y, r)
             w = self.maps.cartan_diagonal(head)
             phases = d / r * np.exp(1j * w.imag)
-            L = (R.conj().T * phases) / np.exp(w)[:, None]
+            L = (Rt.conj() * phases) / np.exp(w)[:, None]
             u = np.concatenate([head, L.take(self.maps.lower_at)])
             self._full = (self._Q * phases, u)
         return self._full
@@ -303,25 +300,67 @@ class _UnitaryChart:
 
 
 # ---------------------------------------------------------------------------
-# stepper cores
+# stepper
 # ---------------------------------------------------------------------------
 
-# Dormand-Prince 5(4) tableau
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
+
+@dataclass(frozen=True, eq=False)
+class _Tableau:
+    """An explicit Runge-Kutta scheme, as data for the one stage loop.
+
+    ``c`` holds the stage times as fractions of the step, ``A[i]`` the
+    weights of stage i's input (i entries), ``b`` the solution weights and
+    ``err`` those of the embedded error estimate (None: a fixed step).  With
+    ``fsal`` the last stage is taken at the new solution at the step's end,
+    so it is the next step's first stage.  ``new_c`` are the distinct
+    fractions past the step's start, which must end at 1 (the stepper takes
+    that time as the step's end point), and ``row[i]`` is stage i's place in
+    [start, *new_c].
+    """
+
+    c: np.ndarray
+    A: tuple[np.ndarray, ...]
+    b: np.ndarray
+    err: np.ndarray | None
+    fsal: bool
+
+    def __post_init__(self):
+        # sorted and set, not np.unique, which imports numpy.ma (1 MB)
+        new_c = sorted({float(ci) for ci in self.c if ci > 0})
+        rows = tuple(new_c.index(ci) + 1 if ci else 0 for ci in self.c)
+        object.__setattr__(self, "new_c", np.array(new_c))
+        object.__setattr__(self, "row", rows)
+
+
 _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
-_DP_ERR = _DP_B5 - _DP_B4
+# Dormand-Prince 5(4), first same as last: the 7th stage's input is the
+# 5th-order solution
+_DP54 = _Tableau(
+    c=np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]),
+    A=(
+        np.array([]),
+        np.array([1 / 5]),
+        np.array([3 / 40, 9 / 40]),
+        np.array([44 / 45, -56 / 15, 32 / 9]),
+        np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+        np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+        _DP_B5[:6],
+    ),
+    b=_DP_B5,
+    err=_DP_B5 - _DP_B4,
+    fsal=True,
+)
+# classic RK4, fixed step
+_RK4 = _Tableau(
+    c=np.array([0.0, 0.5, 0.5, 1.0]),
+    A=(np.array([]), np.array([0.5]), np.array([0.0, 0.5]), np.array([0.0, 0.0, 1.0])),
+    b=np.array([1 / 6, 1 / 3, 1 / 3, 1 / 6]),
+    err=None,
+    fsal=False,
+)
 
 _MIN_STEP_REL = 1e-14
 
@@ -347,17 +386,37 @@ class _StepBudget:
             )
 
 
-def _drive(f, t, y, targets, cfg, budget, record, monitor):
+def _matrices(signal: CoefficientSignal, ts: np.ndarray):
+    """(M(ts), tr M(ts) / N): the full driving matrices and their trace rates."""
+    M = signal.matrices(ts)
+    return M, M.diagonal(0, 1, 2).sum(axis=1) / signal.N
+
+
+def _traceless_matrices(signal: CoefficientSignal, ts: np.ndarray):
+    """(M_0(ts), tr M(ts) / N) with M_0 = M - (tr M / N) I, which drives a chart."""
+    M, rates = _matrices(signal, ts)
+    return M - rates[:, None, None] * np.eye(signal.N, dtype=complex), rates
+
+
+def _drive(stage, evaluate, t, y, targets, cfg, budget, record, monitor):
     """Advance through ``targets`` (strictly increasing, all >= t).
 
+    ``evaluate(ts)`` gives the signal at the times ``ts`` as a pair of
+    stacks (M, rate), and ``stage(M, rate, y, out)`` writes the right-hand
+    side at one of them into ``out``.  M does not depend on y, so each
+    attempted step asks once for all its new stage times; the step's start
+    reuses the previous step's end.  The stages live in one buffer per run.
     Calls ``record(target, y, h_last)`` exactly at each target and
     ``monitor(t, y)`` after every accepted step.  A non-None value from the
     monitor replaces y (a chart switch), and the step size and first stage
-    restart as at t.  The adaptive pair is first-same-as-last: the last
-    stage of an accepted step is f at its end point, which is the first
-    stage of the next step, so a step costs 6 evaluations of f.
+    restart as at t; M at t stays, as the signal knows no chart.  DP5(4) is
+    first-same-as-last: an accepted step's last
+    stage is the next step's first, so a step costs 6 stages and 5 times.
+    Floating-point warnings are silenced for the run: a blow-up shows as a
+    non-finite stage, which rejects the step or raises.
     """
-    adaptive = cfg.method == "adaptive"
+    tab = _RK4 if cfg.method == "rk4" else _DP54
+    adaptive = tab.err is not None
     if adaptive:
         h_start = cfg.first_step or (cfg.t1 - cfg.t0) / 100.0
         h_start = float(min(h_start, cfg.max_step))
@@ -365,66 +424,65 @@ def _drive(f, t, y, targets, cfg, budget, record, monitor):
         h_start = cfg.fixed_step
     tiny = _MIN_STEP_REL * max(abs(cfg.t0), abs(cfg.t1), 1.0)
     h, h_last = h_start, 0.0
-    k1 = None  # f(t, y) once needed; kept across rejections
+    k = np.empty((len(tab.c), y.size), dtype=complex)  # the stage buffer
+    have_k1 = False  # k[0] holds the stage at (t, y); kept across rejections
+    M, rate = evaluate(np.array([t]))
+    start = (M[0], rate[0])  # the signal at the step's start
 
-    for target in targets:
-        while t < target - tiny:
-            h_try = min(h, target - t)
-            t_new = t + h_try
-            if abs(t_new - target) <= tiny:
-                t_new = target
-            if adaptive:
-                if h_try < tiny:
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for target in targets:
+            while t < target - tiny:
+                h_try = min(h, target - t)
+                t_new = t + h_try
+                if abs(t_new - target) <= tiny:
+                    t_new = target
+                if adaptive and h_try < tiny:
                     raise StepSizeUnderflow(
                         f"step {h_try:.3e} below resolvable scale at t = {t:.9f}"
                     )
-                if k1 is None:
-                    k1 = f(t, y)
-                k = [k1]
-                for i in range(1, 6):
-                    yi = y + h_try * (_DP_A[i] @ np.array(k))
-                    k.append(f(t + _DP_C[i] * h_try, yi))
-                # the last stage's input is the 5th-order solution (its
-                # weights are _DP_B5), taken at the step's end point
-                y_new = y + h_try * (_DP_A[6] @ np.array(k))
-                k.append(f(t_new, y_new))
-                k = np.array(k)
-                err = h_try * (_DP_ERR @ k)
-                # any non-finite stage rejects the step: y_new does not see
-                # the last one, and a nan errnorm must not pass the test below
-                if not (np.isfinite(k).all() and np.isfinite(y_new).all()):
-                    errnorm = np.inf
-                else:
-                    errnorm = _error_norm(err, y, y_new, cfg.atol, cfg.rtol)
-                if not errnorm <= 1.0:
-                    budget.rejected += 1
-                    shrink = 0.25 if not np.isfinite(errnorm) else max(
-                        0.1, min(0.5, 0.9 * errnorm ** -0.2)
+                ts = t + h_try * tab.new_c
+                ts[-1] = t_new
+                at = [start, *zip(*evaluate(ts))]  # (M, rate) per row of tab.row
+                if not have_k1:
+                    stage(*start, y, k[0])
+                    have_k1 = True
+                for i in range(1, len(tab.c)):
+                    yi = y + h_try * (tab.A[i] @ k[:i])
+                    stage(*at[tab.row[i]], yi, k[i])
+                y_new = yi if tab.fsal else y + h_try * (tab.b @ k)
+                if adaptive:
+                    # any non-finite stage rejects the step: y_new does not see
+                    # the last one, and a nan errnorm must not pass the test below
+                    if not (np.isfinite(k).all() and np.isfinite(y_new).all()):
+                        errnorm = np.inf
+                    else:
+                        err = h_try * (tab.err @ k)
+                        errnorm = _error_norm(err, y, y_new, cfg.atol, cfg.rtol)
+                    if not errnorm <= 1.0:
+                        budget.rejected += 1
+                        shrink = 0.25 if not np.isfinite(errnorm) else max(
+                            0.1, min(0.5, 0.9 * errnorm ** -0.2)
+                        )
+                        h = h_try * shrink
+                        continue
+                    factor = 5.0 if errnorm == 0 else min(
+                        5.0, max(0.2, 0.9 * errnorm ** -0.2)
                     )
-                    h = h_try * shrink
-                    continue
-                factor = 5.0 if errnorm == 0 else min(
-                    5.0, max(0.2, 0.9 * errnorm ** -0.2)
-                )
-                h = min(h_try * factor, cfg.max_step)
-                k1 = k[6]
-            else:
-                k1 = f(t, y)
-                k2 = f(t + h_try / 2, y + (h_try / 2) * k1)
-                k3 = f(t + h_try / 2, y + (h_try / 2) * k2)
-                k4 = f(t + h_try, y + h_try * k3)
-                y_new = y + (h_try / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-                if not np.all(np.isfinite(y_new.view(float))):
+                    h = min(h_try * factor, cfg.max_step)
+                elif not np.isfinite(y_new).all():
                     raise RuntimeError(
                         f"RK4 step from t = {t:.9f} gave a non-finite state; "
                         f"fixed_step = {cfg.fixed_step} is too coarse here"
                     )
-            t, y, h_last = t_new, y_new, h_try
-            budget.accept()
-            fresh = monitor(t, y)
-            if fresh is not None:
-                y, h, k1 = fresh, h_start, None
-        record(target, y, h_last)
+                if tab.fsal:
+                    k[0] = k[-1]
+                have_k1 = tab.fsal
+                t, y, h_last, start = t_new, y_new, h_try, at[-1]
+                budget.accept()
+                fresh = monitor(t, y)
+                if fresh is not None:
+                    y, h, have_k1 = fresh, h_start, False
+            record(target, y, h_last)
 
 
 # ---------------------------------------------------------------------------
@@ -562,14 +620,13 @@ def integrate_wn(
     samples = _Samples(alg.N, charted=True)
     events: list[SingularityReport] = []
 
-    eye = np.eye(alg.N, dtype=complex)
-    K_base = eye  # K(t_s, t0) at the last switch t_s; the chart holds K(t, t_s)
+    # K(t_s, t0) at the last switch t_s; the chart holds K(t, t_s)
+    K_base = np.eye(alg.N, dtype=complex)
     budget = _StepBudget(config.max_steps)
 
-    def f(t: float, y: np.ndarray) -> np.ndarray:
-        M = signal.matrix(t)
-        rate = np.trace(M) / alg.N
-        return np.concatenate([chart.rates(y, M - rate * eye), [rate]])
+    def stage(M0: np.ndarray, rate: complex, y: np.ndarray, out: np.ndarray) -> None:
+        chart.rates(M0, y, out)
+        out[-1] = rate
 
     def record(t: float, y: np.ndarray, h_last: float) -> None:
         K_engine = chart.K(y) @ K_base
@@ -615,7 +672,8 @@ def integrate_wn(
         return np.concatenate([np.zeros(chart.size, dtype=complex), [y[-1]]])
 
     y = np.zeros(chart.size + 1, dtype=complex)
-    _drive(f, float(config.t0), y, grid, config, budget, record, monitor)
+    _drive(stage, lambda ts: _traceless_matrices(signal, ts), float(config.t0),
+           y, grid, config, budget, record, monitor)
     return samples.trajectory(config.method, budget, seed, events)
 
 
@@ -640,10 +698,9 @@ def integrate_direct(
     )
     samples = _Samples(N, charted=False)
 
-    def f(t: float, y: np.ndarray) -> np.ndarray:
-        M = signal.matrix(t)
-        dK = M @ y[: N * N].reshape(N, N)
-        return np.concatenate([dK.ravel(), [np.trace(M) / N]])
+    def stage(M: np.ndarray, rate: complex, y: np.ndarray, out: np.ndarray) -> None:
+        np.matmul(M, y[: N * N].reshape(N, N), out=out[: N * N].reshape(N, N))
+        out[-1] = rate
 
     def record(t: float, y: np.ndarray, h_last: float) -> None:
         K = y[: N * N].reshape(N, N)
@@ -652,8 +709,8 @@ def integrate_direct(
 
     y = np.concatenate([np.eye(N, dtype=complex).ravel(), [0j]])
     budget = _StepBudget(config.max_steps)
-    _drive(f, float(config.t0), y, grid, oracle_cfg, budget, record,
-           lambda t, y: None)
+    _drive(stage, lambda ts: _matrices(signal, ts), float(config.t0), y, grid,
+           oracle_cfg, budget, record, lambda t, y: None)
     return samples.trajectory("adaptive", budget, seed)
 
 

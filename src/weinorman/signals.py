@@ -12,6 +12,14 @@ The ``hamiltonian`` kind takes Hermitian data H(t) (validated) and drives
 M = -i H, the Schroedinger propagator convention; its trace rate is
 -i tr H / N, i.e. the usual global phase.  Its propagator is unitary, and
 ``integrate_wn`` takes the unitary route for it, by its type.
+
+Every kind evaluates M at many times in one call, ``matrices(ts)`` of shape
+(len(ts), N, N), and ``matrix(t)`` is its one-row case.  The steppers ask
+for all new stage times of a step at once, since M does not depend on the
+state.  The kinds linear in a few fixed matrices (``polynomial``,
+``fourier``, ``hamiltonian``) keep those matrices as one stack, built at
+construction, and evaluate M(ts) as one product of their time weights with
+it.
 """
 
 from __future__ import annotations
@@ -48,14 +56,13 @@ class CoefficientSignal(ABC):
     def coefficients(self, t: float) -> np.ndarray:
         """Expansion a(t) of the traceless part of M(t) in the ordered basis."""
 
+    @abstractmethod
+    def matrices(self, ts: np.ndarray) -> np.ndarray:
+        """Full M(t), trace included, at each time of ``ts``: (len(ts), N, N)."""
+
     def matrix(self, t: float) -> np.ndarray:
-        """Full M(t), trace included."""
-        alg = algebra(self.N)
-        M = matrix_from_coefficients(self.coefficients(t), alg.basis)
-        rate = self.trace_rate(t)
-        if rate != 0:
-            M = M + rate * np.eye(self.N)
-        return M
+        """Full M(t), trace included: the one-row case of :meth:`matrices`."""
+        return self.matrices(np.array([t], dtype=float))[0]
 
     def trace_rate(self, t: float) -> complex:
         """tr M(t) / N (zero for the vector kinds)."""
@@ -103,6 +110,18 @@ def _require_hermitian(H: np.ndarray, what: str, tol: float = 1e-12) -> None:
         raise ValueError(f"{what} is not Hermitian: defect {defect:.3e}")
 
 
+def _matrix_stack(vectors, N: int) -> np.ndarray:
+    """(K, N*N): each coefficient vector as its flattened traceless matrix."""
+    basis = algebra(N).basis
+    return np.array([matrix_from_coefficients(v, basis).ravel() for v in vectors])
+
+
+def _fourier_weights(omega: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """(len(ts), 1 + 2 m): [1, cos(w_m t)..., sin(w_m t)...] per time."""
+    wt = np.multiply.outer(ts, omega)
+    return np.concatenate((np.ones((ts.size, 1)), np.cos(wt), np.sin(wt)), axis=1)
+
+
 @dataclass(frozen=True, eq=False)
 class ConstantSignal(CoefficientSignal):
     """a(t) = a, a fixed coefficient vector."""
@@ -126,8 +145,8 @@ class ConstantSignal(CoefficientSignal):
     def coefficients(self, t: float) -> np.ndarray:
         return self.a
 
-    def matrix(self, t: float) -> np.ndarray:
-        return self._matrix
+    def matrices(self, ts: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(self._matrix, (np.size(ts), self._N, self._N))
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,6 +169,7 @@ class PolynomialSignal(CoefficientSignal):
                 for k, v in enumerate(self.powers)
             ),
         )
+        object.__setattr__(self, "_stack", _matrix_stack(self.powers, self._N))
 
     @property
     def N(self) -> int:
@@ -160,6 +180,11 @@ class PolynomialSignal(CoefficientSignal):
         for k in range(len(self.powers) - 1, -1, -1):  # Horner
             out = out * t + self.powers[k]
         return out
+
+    def matrices(self, ts: np.ndarray) -> np.ndarray:
+        weights = np.vander(np.asarray(ts, dtype=float), len(self.powers),
+                            increasing=True)
+        return (weights @ self._stack).reshape(-1, self._N, self._N)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,6 +211,10 @@ class FourierSignal(CoefficientSignal):
                 for i, (w, c, s) in enumerate(self.modes)
             ),
         )
+        object.__setattr__(self, "_omega", np.array([w for w, _, _ in self.modes]))
+        vectors = [self.a0, *(c for _, c, _ in self.modes),
+                   *(s for _, _, s in self.modes)]
+        object.__setattr__(self, "_stack", _matrix_stack(vectors, self._N))
 
     @property
     def N(self) -> int:
@@ -196,6 +225,10 @@ class FourierSignal(CoefficientSignal):
         for w, c, s in self.modes:
             out += c * np.cos(w * t) + s * np.sin(w * t)
         return out
+
+    def matrices(self, ts: np.ndarray) -> np.ndarray:
+        weights = _fourier_weights(self._omega, np.asarray(ts, dtype=float))
+        return (weights @ self._stack).reshape(-1, self._N, self._N)
 
 
 class _MatrixSignal(CoefficientSignal):
@@ -259,19 +292,20 @@ class PiecewiseSignal(_MatrixSignal):
     def domain(self) -> tuple[float, float]:
         return (float(self.times[0]), float(self.times[-1]))
 
-    def matrix(self, t: float) -> np.ndarray:
+    def matrices(self, ts: np.ndarray) -> np.ndarray:
+        ts = np.asarray(ts, dtype=float)
         if self.rule == "cubic":
-            return self._spline(t).reshape(self._N, self._N)
+            return self._spline(ts).reshape(-1, self._N, self._N)
         flat = self.values.reshape(self.times.size, -1)
         out = np.array(
             [
-                np.interp(t, self.times, flat[:, j].real)
-                + 1j * np.interp(t, self.times, flat[:, j].imag)
+                np.interp(ts, self.times, flat[:, j].real)
+                + 1j * np.interp(ts, self.times, flat[:, j].imag)
                 for j in range(flat.shape[1])
             ],
             dtype=complex,
         )
-        return out.reshape(self._N, self._N)
+        return out.T.reshape(-1, self._N, self._N)
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,10 +351,9 @@ class HamiltonianSignal(_MatrixSignal):
             H += Hc * np.cos(w * t) + Hs * np.sin(w * t)
         return H
 
-    def matrix(self, t: float) -> np.ndarray:
-        wt = self._omega * t
-        weights = np.concatenate(([1.0], np.cos(wt), np.sin(wt)))
-        return (weights @ self._stack).reshape(self._N, self._N)
+    def matrices(self, ts: np.ndarray) -> np.ndarray:
+        weights = _fourier_weights(self._omega, np.asarray(ts, dtype=float))
+        return (weights @ self._stack).reshape(-1, self._N, self._N)
 
 
 def _fourier_twin(signal: HamiltonianSignal) -> FourierSignal:
@@ -370,7 +403,7 @@ def random_antihermitian_signal(
     )
     sig = HamiltonianSignal(N, h0, mode_data)
     grid = np.linspace(0.0, 1.0, 257)
-    worst = max(float(np.linalg.norm(sig.matrix(t))) for t in grid)
+    worst = float(np.linalg.norm(sig.matrices(grid), axis=(1, 2)).max())
     scale = sup_norm / worst if worst > sup_norm else 1.0
     if scale != 1.0:
         sig = HamiltonianSignal(

@@ -244,31 +244,25 @@ def test_singularity_detection_and_reanchor():
 def test_rk4_convergence_order():
     """Fixed-step RK4 on the rotation case: error ratio in [12, 20] per halving.
 
-    M = [[0, -1], [1, 0]] runs on both routes, each through chart switches.
-    As a ConstantSignal (general route) it runs on [0, 1] at h = 0.1, 0.05,
-    0.025.  As a HamiltonianSignal (unitary route) the only integrated
-    coordinate is u_1 = -tan t, so its error is that of RK4 on the Riccati
-    equation u' = -(1 + u^2) itself, whose ratio at h = 0.1 / 0.05 over a
-    chart [0, 0.5] is 21.6, still short of the asymptotic 16.  It runs at
-    h = 0.47 / 8, / 16, / 32 on [0, 0.94] instead: every run switches at the
-    same times (0.47 and 0.94), so the ratios measure the order alone and not
-    a chart layout that moves with h.
+    M = [[0, -1], [1, 0]] runs on both routes, each through chart switches:
+    as a ConstantSignal on the general route, and as a HamiltonianSignal on
+    the unitary route, whose only integrated coordinate is u_1 = -tan t, so
+    its error is that of RK4 on the Riccati equation u' = -(1 + u^2) itself
+    (its ratio at h = 0.1 / 0.05 over a chart [0, 0.5] is 21.6, still short
+    of the asymptotic 16).  Both run at h = 0.47 / 8, / 16, / 32 on
+    [0, 0.94]: every run switches at the same times (0.47 and 0.94), so the
+    ratios measure the order alone and not a chart layout that moves with h.
     """
     with _Budget(5.0):
         from weinorman import ConstantSignal, HamiltonianSignal
 
-        cases = (
-            (ConstantSignal(2, [-1.0, 0.0, 1.0]), 1.0, (0.1, 0.05, 0.025)),
-            (
-                HamiltonianSignal(2, np.array([[0.0, -1j], [1j, 0.0]])),
-                0.94,
-                (0.47 / 8, 0.47 / 16, 0.47 / 32),
-            ),
-        )
-        for sig, t1, steps in cases:
-            K_exact = np.array(
-                [[np.cos(t1), -np.sin(t1)], [np.sin(t1), np.cos(t1)]]
-            )
+        t1, steps = 0.94, (0.47 / 8, 0.47 / 16, 0.47 / 32)
+        K_exact = np.array([[np.cos(t1), -np.sin(t1)], [np.sin(t1), np.cos(t1)]])
+        layouts = []
+        for sig in (
+            ConstantSignal(2, [-1.0, 0.0, 1.0]),
+            HamiltonianSignal(2, np.array([[0.0, -1j], [1j, 0.0]])),
+        ):
             errs, switches = [], []
             for h in steps:
                 cfg = IntegrationConfig(
@@ -278,8 +272,9 @@ def test_rk4_convergence_order():
                 errs.append(np.linalg.norm(np.asarray(traj.K[-1]) - K_exact))
                 switches.append([round(ev.time, 9) for ev in traj.chart_events])
             assert switches[0], f"{sig.kind}: no chart switch"
-            if sig.kind == "hamiltonian":
-                assert switches == [switches[0]] * 3, f"switch times {switches}"
+            assert switches == [switches[0]] * 3, f"switch times {switches}"
+            layouts.append(switches[0])
             ratios = [errs[0] / errs[1], errs[1] / errs[2]]
             for r in ratios:
                 assert 12.0 < r < 20.0, f"{sig.kind}: convergence ratios {ratios}"
+        assert layouts[0] == layouts[1], f"switch times {layouts}"

@@ -1,9 +1,13 @@
 """Command-line entry points, exercised in-process."""
 
 import json
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import weinorman.cli
 
 from weinorman.cli import (
     EXIT_NUMERICAL,
@@ -226,6 +230,52 @@ def test_integrate_rk4_over_a_pole_fails_without_output(tmp_path, capsys):
     assert main(["integrate", "--config", str(path), "--out", str(out)]) == EXIT_NUMERICAL
     assert not out.exists()
     assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "fixed_step, message",
+    [(0.01, "chart frozen at t = 1.58"), (0.1, "RK4 step from t = 1.6")],
+)
+def test_integrate_rk4_blow_up_prints_no_warning(tmp_path, capsys, fixed_step, message):
+    # the blow-up through the pole overflows inside the stepper; only the
+    # structured message reaches stderr, and any warning would raise here
+    path = tmp_path / "rk4.json"
+    path.write_text(json.dumps({
+        "run": {"n": 2, "t1": 3, "samples": 31, "method": "rk4",
+                "fixed_step": fixed_step, "u_threshold": 1e6},
+        "signal": {"kind": "constant", "a": [1, 0, -1]},
+    }))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["integrate", "--config", str(path)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert message in err and "fixed_step" in err
+    assert "Warning" not in err
+
+
+def test_integrate_linalg_error_is_numerical(tan_ini, monkeypatch, capsys):
+    # LinAlgError is a ValueError, but never a validation failure
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(weinorman.cli, "integrate_wn", singular)
+    assert main(["integrate", "--config", tan_ini]) == EXIT_NUMERICAL
+    assert "integrate: Singular matrix" in capsys.readouterr().err
+
+
+def test_integrate_oracle_failure_is_numerical(tmp_path, capsys):
+    # the product route takes 157 steps, the oracle runs out of its 200
+    path = tmp_path / "tan.json"
+    path.write_text(json.dumps({
+        "run": {"n": 2, "t1": 6.0, "samples": 61, "max_steps": 200},
+        "signal": {"kind": "constant", "a": [1, 0, -1]},
+    }))
+    out = tmp_path / "traj.csv"
+    code = main(["integrate", "--config", str(path), "--out", str(out),
+                 "--check-oracle"])
+    assert code == EXIT_NUMERICAL
+    assert "--check-oracle: step budget exceeded" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_integrate_piecewise_json_config(tmp_path, capsys):

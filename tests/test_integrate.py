@@ -16,7 +16,6 @@ from weinorman import (
     Trajectory,
     algebra,
     compare,
-    factor_exp,
     integrate_direct,
     integrate_wn,
     random_antihermitian_signal,
@@ -44,6 +43,23 @@ def _rotation_K(t):
 
 
 # -- chart factors ---------------------------------------------------------------
+
+
+def factor_exp(alg, m: int, u: complex) -> np.ndarray:
+    """exp(u X_m) in closed form, the reference for reconstruct_K.
+
+    Root units square to zero (I + u E_pq); Cartan elements exponentiate to
+    diag(1, ..., e^u, e^{-u}, ..., 1) at slots (l, l+1).
+    """
+    el = alg.basis.element(m)
+    N = alg.N
+    if el.role == "cartan":
+        l = el.position[0]
+        d = np.ones(N, dtype=complex)
+        d[l - 1] = np.exp(u)
+        d[l] = np.exp(-u)
+        return np.diag(d)
+    return np.eye(N, dtype=complex) + u * el.matrix
 
 
 def test_factor_exp_root(alg2):
@@ -261,77 +277,90 @@ def test_default_estimates_condition_only_at_switches(monkeypatch):
     assert all(ev.condition >= 1 for ev in traj.chart_events)
 
 
-def _count_matrix_calls(monkeypatch) -> list:
-    calls = []
-    original = ConstantSignal.matrix
+def _count_stage_times(monkeypatch) -> list:
+    # every time at which the stepper asks a ConstantSignal for M
+    times = []
+    original = ConstantSignal.matrices
 
-    def matrix(self, t):
-        calls.append(t)
-        return original(self, t)
+    def matrices(self, ts):
+        times.extend(ts)
+        return original(self, ts)
 
-    monkeypatch.setattr(ConstantSignal, "matrix", matrix)
-    return calls
+    monkeypatch.setattr(ConstantSignal, "matrices", matrices)
+    return times
 
 
 def test_adaptive_steps_reuse_last_stage(monkeypatch):
-    # first same as last: 6 evaluations per step plus the first one
-    calls = _count_matrix_calls(monkeypatch)
+    # first same as last: 5 new stage times per step plus the start's
+    times = _count_stage_times(monkeypatch)
     cfg = IntegrationConfig(t1=1.0, samples=11, **POLE_TRUST_REGION)
     traj = integrate_wn(_tan_signal(), cfg)
     assert not traj.chart_events
-    assert len(calls) == 6 * (traj.n_steps + traj.n_rejected) + 1
+    assert len(times) == 5 * (traj.n_steps + traj.n_rejected) + 1
 
 
 def test_rejected_steps_reuse_first_stage(monkeypatch):
-    # a rejected step keeps f(t, y); each chart evaluates it once afresh
-    calls = _count_matrix_calls(monkeypatch)
+    # a rejected step keeps M at its start and asks again for its shorter
+    # times; a chart switch leaves M as it is, so a new chart asks for none
+    times = _count_stage_times(monkeypatch)
     cfg = IntegrationConfig(t1=6.0, samples=61, **POLE_TRUST_REGION)
     traj = integrate_wn(_tan_signal(), cfg)
     assert traj.n_rejected == 3 and len(traj.chart_events) == 3
-    charts = len(traj.chart_events) + 1
-    assert len(calls) == 6 * (traj.n_steps + traj.n_rejected) + charts
+    assert len(times) == 5 * (traj.n_steps + traj.n_rejected) + 1
 
 
 def test_oracle_keeps_its_step_sequence(monkeypatch):
-    calls = _count_matrix_calls(monkeypatch)
+    times = _count_stage_times(monkeypatch)
     traj = integrate_direct(_tan_signal(), IntegrationConfig(t1=6.0, samples=61))
-    assert len(calls) == 6 * (traj.n_steps + traj.n_rejected) + 1
+    assert len(times) == 5 * (traj.n_steps + traj.n_rejected) + 1
     # the accepted and rejected counts of the stepper that re-evaluated the
     # first stage of every step
     assert (traj.n_steps, traj.n_rejected) == (369, 1)
 
 
 def _drive_exp(f):
-    # y' = f(t, y) from y(0) = 1 to t = 1, first trial step 0.5
+    # y' = f(y) from y(0) = 1 to t = 1, first trial step 0.5; returns the
+    # end state, the step budget and the stage times asked for, per call
     cfg = IntegrationConfig(t1=1.0, first_step=0.5, atol=1e-3, rtol=1e-3)
     budget = _StepBudget(cfg.max_steps)
-    recorded = []
+    recorded, asked = [], []
+
+    def evaluate(ts):
+        asked.append(ts.copy())
+        return np.zeros((ts.size, 1, 1)), np.zeros(ts.size)
+
+    def stage(M, rate, y, out):
+        out[:] = f(y)
+
     _drive(
-        f, 0.0, np.ones(1, dtype=complex), [1.0], cfg, budget,
+        stage, evaluate, 0.0, np.ones(1, dtype=complex), [1.0], cfg, budget,
         lambda target, y, h: recorded.append((target, y)), lambda t, y: None,
     )
     [(t, y)] = recorded
     assert t == 1.0
-    return y, budget
+    return y, budget, asked
 
 
 def test_non_finite_last_stage_rejects_the_step():
-    # y' = y, but the 7th evaluation (the last stage of the first trial
-    # step, f at its end point) is nan, as for a trial that jumps a pole;
-    # y_new is built from the first six stages only and stays finite
-    y, budget = _drive_exp(lambda t, y: y)
+    # y' = y, but the 7th stage (the last one of the first trial step, at
+    # its end point) is nan, as for a trial that jumps a pole; y_new is
+    # built from the first six stages only and stays finite
+    y, budget, _ = _drive_exp(lambda y: y)
     assert budget.rejected == 0  # the trial step is accurate enough
 
     calls = []
 
-    def f(t, y):
-        calls.append(t)
+    def f(y):
+        calls.append(y)
         return np.full_like(y, np.nan) if len(calls) == 7 else y
 
-    y, budget = _drive_exp(f)
+    y, budget, asked = _drive_exp(f)
     assert budget.rejected == 1
-    # the retry is a quarter of the trial step and keeps its first stage
-    assert calls[7] == pytest.approx(0.2 * 0.5 / 4)
+    # the retry is a quarter of the trial step and keeps its first stage:
+    # it asks for 5 new times and evaluates 6 more stages
+    assert asked[2][0] == pytest.approx(0.2 * 0.5 / 4)
+    assert len(asked[2]) == 5
+    assert len(calls) == 7 + 6 * (budget.accepted + budget.rejected - 1)
     assert abs(y[0] - np.e) < 1e-2
 
 
@@ -468,8 +497,11 @@ def test_reduced_rhs_is_the_upper_and_cartan_part_of_rhs():
             M = -0.5j * (H + H.conj().T)
             M -= np.trace(M) / N * np.eye(N)
             full = rhs(alg, u, M)
-            reduced = chart.rates(u[: chart.size], M)
-            assert reduced.shape == (chart.size,)
+            reduced = np.full(chart.size + 1, np.nan, dtype=complex)
+            chart.rates(M, u[: chart.size], reduced)
+            # the rates fill the chart's slots and leave the phase slot
+            assert np.isnan(reduced[-1])
+            reduced = reduced[:-1]
             assert np.array_equal(reduced[maps.upper], full[maps.upper])
             assert np.array_equal(reduced[maps.cartan].imag, full[maps.cartan].imag)
             assert not reduced[maps.cartan].real.any()
@@ -561,7 +593,7 @@ def test_unitary_samples_reuse_the_step_factorisation(monkeypatch):
     calls.clear()
     traj = integrate_wn(sig, IntegrationConfig(t1=1.0, samples=2))
     assert calls.count("reduced") == 2
-    assert calls.count("r") == traj.n_steps - 1
+    assert calls.count("raw") == traj.n_steps - 1
 
 
 def test_unitary_route_reports_from_all_coordinates():

@@ -170,6 +170,10 @@ def test_hamiltonian_matrix_is_minus_i_h():
         H = sig.hamiltonian(t)
         # measured at most 2.0e-16 relative
         assert np.linalg.norm(sig.matrix(t) + 1j * H) <= 1e-15 * np.linalg.norm(H)
+    ts = np.linspace(-3.0, 3.0, 61)
+    for t, M in zip(ts, sig.matrices(ts)):
+        H = sig.hamiltonian(t)
+        assert np.linalg.norm(M + 1j * H) <= 1e-15 * np.linalg.norm(H)
     constant = HamiltonianSignal(2, np.array([[1.0, 2j], [-2j, 0.0]]))
     assert np.array_equal(constant.matrix(0.7), -1j * constant.h0)
 
@@ -180,5 +184,46 @@ def test_fourier_twin_carries_the_same_matrix():
     assert isinstance(twin, FourierSignal)
     for t in (0.0, 0.4, 1.3):
         assert np.allclose(twin.matrix(t), sig.matrix(t), rtol=0, atol=1e-14)
+    ts = np.array([0.0, 0.4, 1.3])
+    assert np.allclose(twin.matrices(ts), sig.matrices(ts), rtol=0, atol=1e-14)
     with pytest.raises(ValueError, match="traceless"):
         _fourier_twin(HamiltonianSignal(2, np.eye(2)))
+
+
+def _signal_of_each_kind(kind: str):
+    rng = np.random.default_rng(31)
+
+    def vec():
+        return rng.standard_normal(8) + 1j * rng.standard_normal(8)
+
+    if kind == "constant":
+        return ConstantSignal(3, vec())
+    if kind == "polynomial":
+        return PolynomialSignal(3, (vec(), vec(), vec()))
+    if kind == "fourier":
+        return FourierSignal(3, vec(), ((1.3, vec(), vec()), (2.9, vec(), vec())))
+    if kind == "hamiltonian":
+        return random_antihermitian_signal(3, rng, modes=2, traceless=False)
+    times = np.linspace(0.0, 2.0, 6)
+    values = rng.standard_normal((6, 3, 3)) + 1j * rng.standard_normal((6, 3, 3))
+    return PiecewiseSignal(3, times, values, rule=kind.split("-")[1])
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["constant", "polynomial", "fourier", "hamiltonian", "piecewise-cubic",
+     "piecewise-linear"],
+)
+def test_matrices_rows_are_the_matrix_at_each_time(kind, alg3):
+    # the steppers ask for all stage times of a step in one call
+    sig = _signal_of_each_kind(kind)
+    ts = np.array([0.0, 0.1, 0.35, 0.35, 1.0, 1.7, 2.0])
+    Ms = sig.matrices(ts)
+    assert Ms.shape == (ts.size, 3, 3)
+    for t, M in zip(ts, Ms):
+        want = sig.matrix(t)
+        assert np.linalg.norm(M - want) <= 1e-15 * np.linalg.norm(want)
+        if kind in ("constant", "polynomial", "fourier"):
+            # the stacked basis matrices carry the coefficient route's M
+            via = matrix_from_coefficients(sig.coefficients(t), alg3.basis)
+            assert np.linalg.norm(M - via) <= 1e-14 * np.linalg.norm(via)
