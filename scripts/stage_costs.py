@@ -17,7 +17,7 @@ chart state a seeded reduced state with |u| <= 0.3.  Four layers are timed:
   route, divided by its accepted steps (monitor, switches and the two
   samples included).
 
-Each figure is the median of ``--repeats`` timings, each the mean over a
+Each figure is the median of ``REPEATS`` timings, each the mean over a
 loop of calls.  Writes a Markdown table (``--out``) or prints it.
 
     PYTHONPATH=src python3 scripts/stage_costs.py --out scripts/stage_costs.md
@@ -36,10 +36,11 @@ from weinorman import IntegrationConfig, algebra, integrate_wn, random_antihermi
 from weinorman.integrate import _DP54, _GaussChart, _traceless_matrices, _UnitaryChart
 
 NS = (2, 3, 4, 6, 8, 12)
+REPEATS = 7
 
 
-def _median_us(fn, repeats: int, number: int) -> float:
-    return 1e6 * statistics.median(timeit.repeat(fn, repeat=repeats, number=number)) / number
+def _median_us(fn, number: int) -> float:
+    return 1e6 * statistics.median(timeit.repeat(fn, repeat=REPEATS, number=number)) / number
 
 
 def _reduced_state(alg, rng, size: float = 0.3) -> np.ndarray:
@@ -52,7 +53,7 @@ def _reduced_state(alg, rng, size: float = 0.3) -> np.ndarray:
     return y
 
 
-def costs(N: int, repeats: int) -> dict:
+def costs(N: int) -> dict:
     alg = algebra(N)
     sig = random_antihermitian_signal(N, np.random.default_rng(N), sup_norm=3.0)
     rng = np.random.default_rng(100 + N)
@@ -73,17 +74,13 @@ def costs(N: int, repeats: int) -> dict:
 
     cfg = IntegrationConfig(t1=1.0, samples=2)
     traj = integrate_wn(sig, cfg)
-    run_us = _median_us(lambda: integrate_wn(sig, cfg), repeats, 1)
+    run_us = _median_us(lambda: integrate_wn(sig, cfg), 1)
     return {
-        "signal": _median_us(lambda: _traceless_matrices(sig, ts), repeats, 2000),
-        "stage_unitary": _median_us(
-            lambda: stage(unitary, ys[0], out_unitary), repeats, 2000
-        ),
-        "stage_general": _median_us(
-            lambda: stage(general, u, out_general), repeats, 1000
-        ),
+        "signal": _median_us(lambda: _traceless_matrices(sig, ts), 2000),
+        "stage_unitary": _median_us(lambda: stage(unitary, ys[0], out_unitary), 2000),
+        "stage_general": _median_us(lambda: stage(general, u, out_general), 1000),
         "abs_u": _median_us(
-            lambda: unitary.abs_u(ys[next(flip) % 2], sampled=False), repeats, 2000
+            lambda: unitary.abs_u(ys[next(flip) % 2], sampled=False), 2000
         ),
         "step": run_us / traj.n_steps,
         "steps": traj.n_steps,
@@ -93,14 +90,13 @@ def costs(N: int, repeats: int) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--repeats", type=int, default=7)
     ap.add_argument("--out", help="write the Markdown table here")
     args = ap.parse_args(argv)
 
     lines = [
         "# Per-layer costs of one integration step",
         "",
-        f"`scripts/stage_costs.py`, median of {args.repeats} repeats; "
+        f"`scripts/stage_costs.py`, median of `REPEATS` = {REPEATS} timings; "
         f"{platform.machine()}, {os.cpu_count()} cores (shared host), "
         f"Python {platform.python_version()}, numpy {np.__version__}.",
         "µs per call; *step* is a whole unitary-route run on [0, 1] with 2 "
@@ -113,7 +109,7 @@ def main(argv=None) -> int:
         "|---|---|---|---|---|---|---|",
     ]
     for N in NS:
-        c = costs(N, args.repeats)
+        c = costs(N)
         lines.append(
             f"| {N} | {c['signal']:.1f} | {c['stage_unitary']:.1f} "
             f"| {c['stage_general']:.1f} | {c['abs_u']:.1f} | {c['step']:.0f} "
