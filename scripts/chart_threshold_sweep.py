@@ -19,7 +19,7 @@ against ``integrate_direct`` on the same grid.  The set covers
 Per run it records accepted steps, chart switches (and how many of them the
 condition test fired), the max ||K_wn - K_direct||_F over the samples, the
 same relative to ||K_direct||_F, the max unitarity defect (unitary signals
-only) and the median wall time of ``--repeats`` runs.  A run that raises is
+only) and the median wall time of ``REPEATS`` runs.  A run that raises is
 recorded with its exception.  Writes a Markdown report (``--out``) or prints
 it.
 
@@ -45,6 +45,7 @@ from weinorman import (
 )
 
 THRESHOLDS = (0.1, 0.25, 0.5, 1.0, 2.0, 10.0, 100.0, 1e6)
+REPEATS = 3  # timed runs per cell; the median is reported
 
 
 def cases():
@@ -69,9 +70,9 @@ def cases():
     ), False
 
 
-def measure(signal, cfg, oracle, unitary, repeats):
+def measure(signal, cfg, oracle, unitary):
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         try:
             with warnings.catch_warnings():
@@ -97,12 +98,13 @@ def fmt(x, spec=".1e"):
     return "—" if x is None else format(x, spec)
 
 
-def report(rows, thresholds) -> str:
+def report(rows) -> str:
     lines = [
         "# Chart threshold sweep",
         "",
         "Generated by `scripts/chart_threshold_sweep.py`; "
-        "`cond_threshold` = 1e12 throughout.",
+        "`cond_threshold` = 1e12 throughout; times are medians of "
+        f"`REPEATS` = {REPEATS} runs.",
         "",
         "## Totals per threshold",
         "",
@@ -113,7 +115,7 @@ def report(rows, thresholds) -> str:
         "| worst rel. ‖ΔK‖ sl(N) | worst unitarity | failed | time (s) |",
         "|---|---|---|---|---|---|---|---|---|",
     ]
-    for thr in thresholds:
+    for thr in THRESHOLDS:
         runs = [(name, unitary, r[thr]) for name, unitary, r in rows]
         ok = [(u, m) for _, u, m in runs if "error" not in m]
         lines.append(
@@ -136,12 +138,12 @@ def report(rows, thresholds) -> str:
         "Each cell: steps / switches / max ‖ΔK‖ (relative for sl(N)) / "
         "max unitarity defect / seconds.",
         "",
-        "| case | " + " | ".join(f"{t:g}" for t in thresholds) + " |",
-        "|---|" + "---|" * len(thresholds),
+        "| case | " + " | ".join(f"{t:g}" for t in THRESHOLDS) + " |",
+        "|---|" + "---|" * len(THRESHOLDS),
     ]
     for name, unitary, r in rows:
         cells = []
-        for thr in thresholds:
+        for thr in THRESHOLDS:
             m = r[thr]
             if "error" in m:
                 cells.append(m["error"])
@@ -157,9 +159,6 @@ def report(rows, thresholds) -> str:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--thresholds", type=float, nargs="+", default=THRESHOLDS)
-    ap.add_argument("--repeats", type=int, default=3,
-                    help="timed runs per cell; the median is reported")
     ap.add_argument("--out", help="write the Markdown report here")
     args = ap.parse_args(argv)
 
@@ -167,12 +166,12 @@ def main(argv=None) -> int:
     for name, signal, base, unitary in cases():
         oracle = integrate_direct(signal, base)
         results = {}
-        for thr in args.thresholds:
+        for thr in THRESHOLDS:
             cfg = replace(base, u_threshold=thr)
-            results[thr] = measure(signal, cfg, oracle, unitary, args.repeats)
+            results[thr] = measure(signal, cfg, oracle, unitary)
         rows.append((name, unitary, results))
         print(f"{name}: done", file=sys.stderr)
-    text = report(rows, args.thresholds)
+    text = report(rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

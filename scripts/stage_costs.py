@@ -12,10 +12,11 @@ chart state a seeded reduced state with |u| <= 0.3.  Four layers are timed:
   unitary route (``_UnitaryChart.rates``) and on the general route
   (``_GaussChart.rates``, the block peel ``rhs``), written into its row of
   the stage buffer with the trace rate;
-- *abs_u*: the max-|u| test of the unitary route, R from a raw QR;
+- *abs_u*: the max-|u| test of the unitary route, ``_UnitaryChart.factor``
+  without Q (R from a raw QR) and ``abs_u``;
 - *step*: a whole ``integrate_wn`` run on [0, 1] with 2 samples, unitary
-  route, divided by its accepted steps (monitor, switches and the two
-  samples included).
+  route, divided by its accepted steps (trust-region checks, switches and
+  the two samples included).
 
 Each figure is the median of ``REPEATS`` timings, each the mean over a
 loop of calls.  Writes a Markdown table (``--out``) or prints it.
@@ -62,11 +63,10 @@ def costs(N: int) -> dict:
     M0, rate = M0s[0], rates[0]
 
     unitary, general = _UnitaryChart(alg), _GaussChart(alg)
-    ys = [_reduced_state(alg, rng) for _ in range(2)]
+    y = _reduced_state(alg, rng)
     u = 0.3 * (rng.standard_normal(alg.n) + 1j * rng.standard_normal(alg.n))
     out_unitary = np.empty(unitary.size + 1, dtype=complex)
     out_general = np.empty(alg.n + 1, dtype=complex)
-    flip = iter(range(10**9))  # alternate states, so abs_u never reuses its cache
 
     def stage(chart, y, out):
         chart.rates(M0, y, out)
@@ -77,10 +77,10 @@ def costs(N: int) -> dict:
     run_us = _median_us(lambda: integrate_wn(sig, cfg), 1)
     return {
         "signal": _median_us(lambda: _traceless_matrices(sig, ts), 2000),
-        "stage_unitary": _median_us(lambda: stage(unitary, ys[0], out_unitary), 2000),
+        "stage_unitary": _median_us(lambda: stage(unitary, y, out_unitary), 2000),
         "stage_general": _median_us(lambda: stage(general, u, out_general), 1000),
         "abs_u": _median_us(
-            lambda: unitary.abs_u(ys[next(flip) % 2], sampled=False), 2000
+            lambda: unitary.abs_u(unitary.factor(y, full=False)), 2000
         ),
         "step": run_us / traj.n_steps,
         "steps": traj.n_steps,

@@ -35,9 +35,12 @@ each attempted step asks the signal once for all its new stage times (5 for
 DP5(4), 2 for RK4) and the factorized route removes the trace from that
 batch at once; the stages of a run share one buffer.  Steps are clamped to
 land exactly on sample times, so trajectories on the same grid compare
-sample-by-sample without interpolation.  Floating-point warnings are
-silenced for a run: a blow-up shows as a non-finite stage or state, which
-rejects the step or raises.
+sample-by-sample without interpolation.  The loop counts its own steps and
+hands each accepted state to one hook, saying whether it is a sample; the
+factorized route's hook checks the trust region, records the sample and may
+hand back a new chart's state.  The defects are taken over all samples at
+once.  Floating-point warnings are silenced for a run: a blow-up shows as a
+non-finite stage or state, which rejects the step or raises.
 """
 
 from __future__ import annotations
@@ -212,14 +215,18 @@ class _GaussChart:
     def rates(self, M0: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
         out[: self.size] = rhs(self.alg, y[: self.size], M0)
 
-    def abs_u(self, y: np.ndarray, sampled: bool) -> np.ndarray:
-        return np.abs(y[: self.size])
+    def factor(self, y: np.ndarray, full: bool) -> np.ndarray:
+        """The state itself: u is read off it; K is built only when asked for."""
+        return y
 
-    def u(self, y: np.ndarray) -> np.ndarray:
-        return y[: self.size]
+    def abs_u(self, f: np.ndarray) -> np.ndarray:
+        return np.abs(f[: self.size])
 
-    def K(self, y: np.ndarray) -> np.ndarray:
-        return reconstruct_K(self.alg, y[: self.size])
+    def u(self, f: np.ndarray) -> np.ndarray:
+        return f[: self.size]
+
+    def K(self, f: np.ndarray) -> np.ndarray:
+        return reconstruct_K(self.alg, f[: self.size])
 
 
 class _UnitaryChart:
@@ -232,39 +239,37 @@ class _UnitaryChart:
     K = Q diag(r_ii / |r_ii| e^{i Im w_i}), |d_i| = |r_ii| gives
     Re w_i = log |r_ii|, and L = D^-1 R^H diag(...) gives |L_ij| =
     |R_ji| / |R_ii|.  The max-|u| test therefore needs R alone, which it
-    reads from LAPACK's raw QR output; Q is formed for samples and switches.
-    The factorisation of the last state asked about is kept, so a sample on
-    the step just tested reuses it.
+    reads from LAPACK's raw QR output; Q is formed for samples, switches and
+    cond(A) checks.
     """
 
     def __init__(self, alg: Algebra):
         self.alg = alg
         self.maps = alg.basis.maps
         self.size = self.maps.cartan.stop  # the upper slots, then the Cartan ones
-        # the state the cached Q, R and (K, u) belong to
-        self._y = self._Q = self._Rt = self._full = None
 
     def rates(self, M0: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
         maps = self.maps
         _, out[maps.upper], cartan = riccati_rhs(self.alg, maps.upper_factor(y), M0)
         out[maps.cartan] = 1j * cartan.imag
 
-    def _factor(self, y: np.ndarray, with_q: bool) -> np.ndarray:
-        """R^T, in the lower triangle, of U^-H = Q R for the state y.
+    def factor(self, y: np.ndarray, full: bool) -> tuple:
+        """(y, R^T) of U^-H = Q R for the state y; if ``full``, (y, R^T, K, u).
 
-        Q is formed if asked for.  Without it the raw LAPACK factor is
-        returned as is: R^T below and on its diagonal, Householder vectors
-        above, which no reader here looks at.
+        R^T sits in the lower triangle; the raw LAPACK factor keeps
+        Householder vectors above it, which no reader here looks at.
         """
-        if y is not self._y or (with_q and self._Q is None):
-            Uih = np.linalg.inv(self.maps.upper_factor(y)).conj().T
-            if with_q:
-                self._Q, R = np.linalg.qr(Uih)
-                self._Rt = R.T
-            else:
-                self._Q, self._Rt = None, np.linalg.qr(Uih, mode="raw")[0]
-            self._y, self._full = y, None
-        return self._Rt
+        Uih = np.linalg.inv(self.maps.upper_factor(y)).conj().T
+        if not full:
+            return y, np.linalg.qr(Uih, mode="raw")[0]
+        Q, R = np.linalg.qr(Uih)
+        Rt, d = R.T, R.diagonal()
+        r = np.abs(d)
+        head = self._head(y, r)
+        w = self.maps.cartan_diagonal(head)
+        phases = d / r * np.exp(1j * w.imag)
+        L = (Rt.conj() * phases) / np.exp(w)[:, None]
+        return y, Rt, Q * phases, np.concatenate([head, L.take(self.maps.lower_at)])
 
     def _head(self, y: np.ndarray, r: np.ndarray) -> np.ndarray:
         """The upper and Cartan coordinates: y plus Re w_i = log |r_ii|."""
@@ -272,31 +277,17 @@ class _UnitaryChart:
         head[self.maps.cartan] += np.log(r).cumsum()[: self.alg.N - 1]
         return head
 
-    def abs_u(self, y: np.ndarray, sampled: bool) -> np.ndarray:
-        Rt = self._factor(y, with_q=sampled)
+    def abs_u(self, f: tuple) -> np.ndarray:
+        y, Rt = f[:2]
         r = np.abs(Rt.diagonal())
         lower = (np.abs(Rt) / r[:, None]).take(self.maps.lower_at)
         return np.concatenate([np.abs(self._head(y, r)), lower])
 
-    def _rebuild(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(K, all n coordinates) for the state y."""
-        if y is not self._y or self._full is None:
-            Rt = self._factor(y, with_q=True)
-            d = Rt.diagonal()
-            r = np.abs(d)
-            head = self._head(y, r)
-            w = self.maps.cartan_diagonal(head)
-            phases = d / r * np.exp(1j * w.imag)
-            L = (Rt.conj() * phases) / np.exp(w)[:, None]
-            u = np.concatenate([head, L.take(self.maps.lower_at)])
-            self._full = (self._Q * phases, u)
-        return self._full
+    def u(self, f: tuple) -> np.ndarray:
+        return f[3]
 
-    def u(self, y: np.ndarray) -> np.ndarray:
-        return self._rebuild(y)[1]
-
-    def K(self, y: np.ndarray) -> np.ndarray:
-        return self._rebuild(y)[0]
+    def K(self, f: tuple) -> np.ndarray:
+        return f[2]
 
 
 # ---------------------------------------------------------------------------
@@ -370,22 +361,6 @@ def _error_norm(err, y_old, y_new, atol, rtol) -> float:
     return float(np.sqrt(np.mean((np.abs(err) / scale) ** 2)))
 
 
-class _StepBudget:
-    """Accepted/rejected step counters shared across charts."""
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.accepted = 0
-        self.rejected = 0
-
-    def accept(self) -> None:
-        self.accepted += 1
-        if self.accepted > self.limit:
-            raise RuntimeError(
-                f"step budget exceeded ({self.limit} accepted steps)"
-            )
-
-
 def _matrices(signal: CoefficientSignal, ts: np.ndarray):
     """(M(ts), tr M(ts) / N): the full driving matrices and their trace rates."""
     M = signal.matrices(ts)
@@ -398,7 +373,7 @@ def _traceless_matrices(signal: CoefficientSignal, ts: np.ndarray):
     return M - rates[:, None, None] * np.eye(signal.N, dtype=complex), rates
 
 
-def _drive(stage, evaluate, t, y, targets, cfg, budget, record, monitor):
+def _drive(stage, evaluate, t, y, targets, cfg, after):
     """Advance through ``targets`` (strictly increasing, all >= t).
 
     ``evaluate(ts)`` gives the signal at the times ``ts`` as a pair of
@@ -406,14 +381,19 @@ def _drive(stage, evaluate, t, y, targets, cfg, budget, record, monitor):
     side at one of them into ``out``.  M does not depend on y, so each
     attempted step asks once for all its new stage times; the step's start
     reuses the previous step's end.  The stages live in one buffer per run.
-    Calls ``record(target, y, h_last)`` exactly at each target and
-    ``monitor(t, y)`` after every accepted step.  A non-None value from the
-    monitor replaces y (a chart switch), and the step size and first stage
-    restart as at t; M at t stays, as the signal knows no chart.  DP5(4) is
-    first-same-as-last: an accepted step's last
-    stage is the next step's first, so a step costs 6 stages and 5 times.
-    Floating-point warnings are silenced for the run: a blow-up shows as a
-    non-finite stage, which rejects the step or raises.
+    DP5(4) is first-same-as-last: an accepted step's last stage is the next
+    step's first, so a step costs 6 stages and 5 times.
+
+    ``after(t, y, h_last, on_target)`` is called after every accepted step,
+    with ``on_target`` true exactly when the step ends on its target, and as
+    ``after(target, y, h_last, True)`` for a target reached without a step
+    (t0's, or one within the resolvable scale of the last).  It returns the
+    state to go on from: a new object is a chart switch, and the step size
+    and first stage restart as at t; M at t stays, as the signal knows no
+    chart.  Returns the (accepted, rejected) step counts; an accepted step
+    past ``cfg.max_steps`` raises before its hook.  Floating-point warnings
+    are silenced for the run: a blow-up shows as a non-finite stage, which
+    rejects the step or raises.
     """
     tab = _RK4 if cfg.method == "rk4" else _DP54
     adaptive = tab.err is not None
@@ -424,6 +404,7 @@ def _drive(stage, evaluate, t, y, targets, cfg, budget, record, monitor):
         h_start = cfg.fixed_step
     tiny = _MIN_STEP_REL * max(abs(cfg.t0), abs(cfg.t1), 1.0)
     h, h_last = h_start, 0.0
+    accepted = rejected = 0
     k = np.empty((len(tab.c), y.size), dtype=complex)  # the stage buffer
     have_k1 = False  # k[0] holds the stage at (t, y); kept across rejections
     M, rate = evaluate(np.array([t]))
@@ -459,7 +440,7 @@ def _drive(stage, evaluate, t, y, targets, cfg, budget, record, monitor):
                         err = h_try * (tab.err @ k)
                         errnorm = _error_norm(err, y, y_new, cfg.atol, cfg.rtol)
                     if not errnorm <= 1.0:
-                        budget.rejected += 1
+                        rejected += 1
                         shrink = 0.25 if not np.isfinite(errnorm) else max(
                             0.1, min(0.5, 0.9 * errnorm ** -0.2)
                         )
@@ -478,11 +459,20 @@ def _drive(stage, evaluate, t, y, targets, cfg, budget, record, monitor):
                     k[0] = k[-1]
                 have_k1 = tab.fsal
                 t, y, h_last, start = t_new, y_new, h_try, at[-1]
-                budget.accept()
-                fresh = monitor(t, y)
-                if fresh is not None:
-                    y, h, have_k1 = fresh, h_start, False
-            record(target, y, h_last)
+                accepted += 1
+                if accepted > cfg.max_steps:
+                    raise RuntimeError(
+                        f"step budget exceeded ({cfg.max_steps} accepted steps)"
+                    )
+                # a step ends on its target or more than tiny short of it
+                if t != target:
+                    fresh = after(t, y, h_last, False)
+                    if fresh is not y:
+                        y, h, have_k1 = fresh, h_start, False
+            fresh = after(target, y, h_last, True)
+            if fresh is not y:
+                y, h, have_k1 = fresh, h_start, False
+    return accepted, rejected
 
 
 # ---------------------------------------------------------------------------
@@ -540,47 +530,34 @@ class _Samples:
     def __init__(self, N: int, charted: bool):
         self.N = N
         self.charted = charted
-        self.t: list[float] = []
-        self.K: list[np.ndarray] = []
-        self.phase: list[complex] = []
-        self.unitarity: list[float] = []
-        self.det: list[float] = []
-        self.step: list[float] = []
-        self.u: list[np.ndarray] = []
-        self.chart: list[int] = []
+        self.rows: list[tuple] = []
 
-    def __len__(self) -> int:
-        return len(self.t)
+    def add(self, t, K, K_engine, phase, h_last, u=None, chart=0) -> None:
+        """One sample of the physical K and its traceless K_engine = K / phase."""
+        self.rows.append((t, K, K_engine, complex(phase), h_last, u, chart))
 
-    def add(self, t, K_phys, K_engine, scale, h_last, u=None, chart=0) -> None:
-        """One sample; the det defect is taken on the traceless K_engine."""
-        self.t.append(t)
-        self.K.append(K_phys)
-        self.phase.append(complex(scale))
-        self.unitarity.append(
-            float(np.linalg.norm(K_phys.conj().T @ K_phys - np.eye(self.N)))
-        )
-        self.det.append(float(abs(np.linalg.det(K_engine) - 1.0)))
-        self.step.append(h_last)
-        if self.charted:
-            self.u.append(u.copy())
-            self.chart.append(chart)
-
-    def trajectory(self, method, budget, seed, events=()) -> Trajectory:
+    def trajectory(self, method, counts, seed, events=()) -> Trajectory:
+        """The rows as arrays; the defects are taken over the stack at once."""
+        t, K, K_engine, phase, step, u, chart = map(np.array, zip(*self.rows))
+        # silenced as in the run: a blown-up sample shows as a non-finite defect
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            gram = K.conj().transpose(0, 2, 1) @ K - np.eye(self.N)
+            unitarity = np.linalg.norm(gram, axis=(1, 2))
+            det = np.abs(np.linalg.det(K_engine) - 1.0)
         return Trajectory(
             N=self.N,
-            t=np.array(self.t),
-            K=np.array(self.K),
-            u=np.array(self.u) if self.charted else None,
-            phase_factor=np.array(self.phase),
-            chart_index=np.array(self.chart, dtype=int) if self.charted else None,
-            unitarity_defect=np.array(self.unitarity),
-            det_defect=np.array(self.det),
-            step_size=np.array(self.step),
+            t=t,
+            K=K,
+            u=u if self.charted else None,
+            phase_factor=phase,
+            chart_index=chart if self.charted else None,
+            unitarity_defect=unitarity,
+            det_defect=det,
+            step_size=step,
             chart_events=tuple(events),
             method=method,
-            n_steps=budget.accepted,
-            n_rejected=budget.rejected,
+            n_steps=counts[0],
+            n_rejected=counts[1],
             seed=seed,
         )
 
@@ -622,59 +599,57 @@ def integrate_wn(
 
     # K(t_s, t0) at the last switch t_s; the chart holds K(t, t_s)
     K_base = np.eye(alg.N, dtype=complex)
-    budget = _StepBudget(config.max_steps)
 
     def stage(M0: np.ndarray, rate: complex, y: np.ndarray, out: np.ndarray) -> None:
         chart.rates(M0, y, out)
         out[-1] = rate
 
-    def record(t: float, y: np.ndarray, h_last: float) -> None:
-        K_engine = chart.K(y) @ K_base
-        scale = np.exp(y[-1])
-        u, chart_no = chart.u(y), len(events)
-        samples.add(t, scale * K_engine, K_engine, scale, h_last, u, chart_no)
-
-    def monitor(t: float, y: np.ndarray) -> np.ndarray | None:
-        """The trust-region check: u-growth, then cond(A) once |u| > SMALL_CHART_U.
-
-        On a breakdown: freeze K into K_base, return the new chart's state.
+    def after(t: float, y: np.ndarray, h_last: float, on_target: bool) -> np.ndarray:
+        """The trust region (u-growth, then cond(A) once |u| > SMALL_CHART_U),
+        then the sample on a target.  A breakdown freezes K into K_base and
+        hands back the new chart's state, which a sample on this step records.
         """
         nonlocal K_base
-        # a step that ends on the next sample time is recorded right after
-        absu = chart.abs_u(y, sampled=t == grid[len(samples)])
+        f = chart.factor(y, full=on_target)
+        absu = chart.abs_u(f)
         worst = int(np.argmax(absu))
         grown = absu[worst] > config.u_threshold
-        if not (grown or absu[worst] > SMALL_CHART_U):
-            return None
-        cond = condition_estimate(assemble_A_gauss(alg, chart.u(y)))
-        if grown:
-            trigger, value = "u-growth", float(absu[worst])
-        elif cond > config.cond_threshold:
-            trigger, value = "condition", cond
-        else:
-            return None
-        report = SingularityReport(
-            time=float(t),
-            trigger=trigger,
-            value=value,
-            generator_index=worst + 1,
-            stage=alg.partition.stage_of(worst + 1),
-            condition=cond,
-        )
-        if not config.reanchor:
-            raise ChartSingularityError(report)
-        K_base = chart.K(y) @ K_base
-        if not np.isfinite(K_base).all():
-            rk4 = f"; fixed_step = {config.fixed_step} is too coarse here"
-            raise RuntimeError(f"chart frozen at t = {t:.9f} is non-finite"
-                               + (rk4 if config.method == "rk4" else ""))
-        events.append(report)
-        return np.concatenate([np.zeros(chart.size, dtype=complex), [y[-1]]])
+        if grown or absu[worst] > SMALL_CHART_U:
+            if not on_target:
+                f = chart.factor(y, full=True)
+            cond = condition_estimate(assemble_A_gauss(alg, chart.u(f)))
+            if grown or cond > config.cond_threshold:
+                report = SingularityReport(
+                    time=float(t),
+                    trigger="u-growth" if grown else "condition",
+                    value=float(absu[worst]) if grown else cond,
+                    generator_index=worst + 1,
+                    stage=alg.partition.stage_of(worst + 1),
+                    condition=cond,
+                )
+                if not config.reanchor:
+                    raise ChartSingularityError(report)
+                K_base = chart.K(f) @ K_base
+                if not np.isfinite(K_base).all():
+                    rk4 = f"; fixed_step = {config.fixed_step} is too coarse here"
+                    raise RuntimeError(f"chart frozen at t = {t:.9f} is non-finite"
+                                       + (rk4 if config.method == "rk4" else ""))
+                events.append(report)
+                y = np.concatenate([np.zeros(chart.size, dtype=complex), [y[-1]]])
+                if not on_target:
+                    return y
+                f = chart.factor(y, full=True)
+        if on_target:
+            K_engine = chart.K(f) @ K_base
+            scale = np.exp(y[-1])
+            samples.add(t, scale * K_engine, K_engine, scale, h_last, chart.u(f),
+                        len(events))
+        return y
 
     y = np.zeros(chart.size + 1, dtype=complex)
-    _drive(stage, lambda ts: _traceless_matrices(signal, ts), float(config.t0),
-           y, grid, config, budget, record, monitor)
-    return samples.trajectory(config.method, budget, seed, events)
+    counts = _drive(stage, lambda ts: _traceless_matrices(signal, ts),
+                    float(config.t0), y, grid, config, after)
+    return samples.trajectory(config.method, counts, seed, events)
 
 
 def integrate_direct(
@@ -702,16 +677,16 @@ def integrate_direct(
         np.matmul(M, y[: N * N].reshape(N, N), out=out[: N * N].reshape(N, N))
         out[-1] = rate
 
-    def record(t: float, y: np.ndarray, h_last: float) -> None:
-        K = y[: N * N].reshape(N, N)
-        scale = np.exp(y[N * N])
-        samples.add(t, K.copy(), K / scale, scale, h_last)
+    def after(t: float, y: np.ndarray, h_last: float, on_target: bool) -> np.ndarray:
+        if on_target:
+            K, scale = y[: N * N].reshape(N, N), np.exp(y[N * N])
+            samples.add(t, K, K / scale, scale, h_last)
+        return y
 
     y = np.concatenate([np.eye(N, dtype=complex).ravel(), [0j]])
-    budget = _StepBudget(config.max_steps)
-    _drive(stage, lambda ts: _matrices(signal, ts), float(config.t0), y, grid,
-           oracle_cfg, budget, record, lambda t, y: None)
-    return samples.trajectory("adaptive", budget, seed)
+    counts = _drive(stage, lambda ts: _matrices(signal, ts), float(config.t0), y,
+                    grid, oracle_cfg, after)
+    return samples.trajectory("adaptive", counts, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from weinorman import (
 from weinorman.hierarchy import assemble_A_gauss, rhs
 from weinorman.integrate import (
     _drive,
-    _StepBudget,
     _UnitaryChart,
     condition_estimate,
 )
@@ -320,10 +320,10 @@ def test_oracle_keeps_its_step_sequence(monkeypatch):
 
 def _drive_exp(f):
     # y' = f(y) from y(0) = 1 to t = 1, first trial step 0.5; returns the
-    # end state, the step budget and the stage times asked for, per call
+    # end state, the (accepted, rejected) step counts and the stage times
+    # asked for, per call
     cfg = IntegrationConfig(t1=1.0, first_step=0.5, atol=1e-3, rtol=1e-3)
-    budget = _StepBudget(cfg.max_steps)
-    recorded, asked = [], []
+    hooked, asked = [], []
 
     def evaluate(ts):
         asked.append(ts.copy())
@@ -332,21 +332,25 @@ def _drive_exp(f):
     def stage(M, rate, y, out):
         out[:] = f(y)
 
-    _drive(
-        stage, evaluate, 0.0, np.ones(1, dtype=complex), [1.0], cfg, budget,
-        lambda target, y, h: recorded.append((target, y)), lambda t, y: None,
-    )
-    [(t, y)] = recorded
+    def after(t, y, h_last, on_target):
+        hooked.append((t, y, on_target))
+        return y
+
+    counts = _drive(stage, evaluate, 0.0, np.ones(1, dtype=complex), [1.0], cfg, after)
+    # one call per accepted step, on the target only for the last
+    assert len(hooked) == counts[0]
+    assert [on for _, _, on in hooked] == [False] * (counts[0] - 1) + [True]
+    t, y, _ = hooked[-1]
     assert t == 1.0
-    return y, budget, asked
+    return y, counts, asked
 
 
 def test_non_finite_last_stage_rejects_the_step():
     # y' = y, but the 7th stage (the last one of the first trial step, at
     # its end point) is nan, as for a trial that jumps a pole; y_new is
     # built from the first six stages only and stays finite
-    y, budget, _ = _drive_exp(lambda y: y)
-    assert budget.rejected == 0  # the trial step is accurate enough
+    y, (accepted, rejected), _ = _drive_exp(lambda y: y)
+    assert rejected == 0  # the trial step is accurate enough
 
     calls = []
 
@@ -354,14 +358,30 @@ def test_non_finite_last_stage_rejects_the_step():
         calls.append(y)
         return np.full_like(y, np.nan) if len(calls) == 7 else y
 
-    y, budget, asked = _drive_exp(f)
-    assert budget.rejected == 1
+    y, (accepted, rejected), asked = _drive_exp(f)
+    assert rejected == 1
     # the retry is a quarter of the trial step and keeps its first stage:
     # it asks for 5 new times and evaluates 6 more stages
     assert asked[2][0] == pytest.approx(0.2 * 0.5 / 4)
     assert len(asked[2]) == 5
-    assert len(calls) == 7 + 6 * (budget.accepted + budget.rejected - 1)
+    assert len(calls) == 7 + 6 * (accepted + rejected - 1)
     assert abs(y[0] - np.e) < 1e-2
+
+
+def test_targets_reached_without_a_step_repeat_the_sample():
+    # t0 and a target within the resolvable scale of the last are sampled
+    # without a step: the second of a close pair repeats the first's state
+    cfg = IntegrationConfig(t1=1.0, sample_times=(0.0, 0.5, 0.5 + 1e-15, 1.0))
+    hamiltonian = random_antihermitian_signal(3, np.random.default_rng(5), sup_norm=2.0)
+    for sig in (_tan_signal(), hamiltonian):
+        for traj in (integrate_wn(sig, cfg), integrate_direct(sig, cfg)):
+            assert np.array_equal(traj.t, cfg.sample_times)
+            assert np.array_equal(traj.K[0], np.eye(sig.N)) and traj.step_size[0] == 0
+            assert np.array_equal(traj.K[1], traj.K[2])
+            assert np.array_equal(traj.step_size[1], traj.step_size[2])
+            if traj.u is not None:
+                assert np.array_equal(traj.u[1], traj.u[2])
+                assert traj.chart_index[1] == traj.chart_index[2]
 
 
 def test_sample_grid_is_preserved_across_charts():
@@ -514,8 +534,9 @@ def test_unitary_chart_rebuilds_a_unitary_K():
         for _ in range(10):
             y = _reduced_state(alg, rng)
             chart = _UnitaryChart(alg)
-            abs_u = chart.abs_u(y, sampled=False)  # from R alone
-            K, u = chart.K(y), chart.u(y)
+            abs_u = chart.abs_u(chart.factor(y, full=False))  # from R alone
+            f = chart.factor(y, full=True)
+            K, u = chart.K(f), chart.u(f)
             # measured at most 1.6e-15, 1.6e-15 and 1.7e-15
             assert np.linalg.norm(K.conj().T @ K - np.eye(N)) < 1e-14
             assert abs(np.linalg.det(K) - 1) < 1e-14
@@ -649,6 +670,38 @@ def test_unitary_route_keeps_the_global_phase():
     assert np.abs(traj.phase_factor - oracle.phase_factor).max() < 1e-10
     assert max(traj.det_defect) < 1e-13
     assert max(traj.unitarity_defect) < 1e-13
+
+
+def test_defects_taken_over_the_stack_match_the_per_sample_formulas():
+    # the trajectory takes both defects over all samples at once; per sample
+    # they are ||K^+ K - I||_F and |det(K / phase) - 1|, which the stacked
+    # routines round differently by a few ulps (of the norm, and of det ~ 1)
+    rng = np.random.default_rng(3)
+    sig = random_antihermitian_signal(3, rng, sup_norm=5.0, traceless=False)
+    twin = _fourier_twin(random_antihermitian_signal(3, rng, sup_norm=5.0))
+    cfg = IntegrationConfig(t1=1.0, samples=11)
+    eps = np.finfo(float).eps
+    for traj in (integrate_wn(sig, cfg), integrate_wn(twin, cfg),
+                 integrate_direct(sig, cfg), integrate_wn(_tan_signal(), cfg)):
+        unitarity = [np.linalg.norm(K.conj().T @ K - np.eye(traj.N)) for K in traj.K]
+        det = [abs(np.linalg.det(K / p) - 1) for K, p in zip(traj.K, traj.phase_factor)]
+        assert np.allclose(traj.unitarity_defect, unitarity, rtol=8 * eps, atol=0)
+        assert np.allclose(traj.det_defect, det, rtol=0, atol=8 * eps)
+
+
+def test_det_defect_survives_an_underflowing_phase():
+    # M = -20 I on [0, 40]: the phase exp(-20 t) underflows to 0 past
+    # t ~ 37, and so does the physical K, but the traceless engine factor is
+    # I throughout, so its det defect stays 0; neither route warns
+    times = np.linspace(0.0, 40.0, 5)
+    sig = PiecewiseSignal(2, times, np.tile(-20.0 * np.eye(2), (5, 1, 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cfg = IntegrationConfig(t1=40.0, samples=5)
+        traj = integrate_wn(sig, cfg)
+        integrate_direct(sig, cfg)  # its defects are non-finite here, silently
+    assert traj.phase_factor[-1] == 0 and not traj.K[-1].any()
+    assert np.array_equal(traj.det_defect, np.zeros(5))
 
 
 # -- persistence -------------------------------------------------------------------
