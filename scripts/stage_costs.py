@@ -1,5 +1,7 @@
 #!/usr/bin/env python3
-"""Per-layer costs of one integration step, in µs per call, for N = 2..12.
+"""Per-layer costs of one integration step and of the exact derivation.
+
+The step table gives µs per call for N = 2..12.
 
 For each N the signal is the seeded baseline one,
 ``random_antihermitian_signal(N, default_rng(N), sup_norm=3)``, and the
@@ -18,8 +20,12 @@ chart state a seeded reduced state with |u| <= 0.3.  Four layers are timed:
   route, divided by its accepted steps (trust-region checks, switches and
   the two samples included).
 
+The derivation table gives ms per call for N = 2..8 of the symbolic layer:
+``derive_hierarchy(N)`` (the full exact peel; only the algebra is built
+once) and ``emit`` of that schedule in each format (every call renders).
+
 Each figure is the median of ``REPEATS`` timings, each the mean over a
-loop of calls.  Writes a Markdown table (``--out``) or prints it.
+loop of calls.  Writes the Markdown tables (``--out``) or prints them.
 
     PYTHONPATH=src python3 scripts/stage_costs.py --out scripts/stage_costs.md
 """
@@ -33,10 +39,19 @@ import timeit
 
 import numpy as np
 
-from weinorman import IntegrationConfig, algebra, integrate_wn, random_antihermitian_signal
+from weinorman import (
+    IntegrationConfig,
+    algebra,
+    derive_hierarchy,
+    emit,
+    integrate_wn,
+    random_antihermitian_signal,
+)
 from weinorman.integrate import _DP54, _GaussChart, _traceless_matrices, _UnitaryChart
 
 NS = (2, 3, 4, 6, 8, 12)
+DERIVE_NS = tuple(range(2, 9))
+FORMATS = ("plain", "latex", "json")
 REPEATS = 7
 
 
@@ -88,17 +103,37 @@ def costs(N: int) -> dict:
     }
 
 
+def derive_costs(N: int) -> dict:
+    """ms per call of ``derive_hierarchy(N)`` and of ``emit`` per format."""
+    algebra(N)
+    schedule = derive_hierarchy(N)
+
+    def median_ms(fn) -> float:
+        # enough calls per timing to last about 20 ms
+        number = max(1, int(0.02 / timeit.timeit(fn, number=1)))
+        return _median_us(fn, number) / 1e3
+
+    out = {"derive": median_ms(lambda: derive_hierarchy(N))}
+    for fmt in FORMATS:
+        out[fmt] = median_ms(lambda: emit(schedule, fmt))
+    out["terms"] = sum(len(expr.terms()) for _, expr in schedule.equations())
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", help="write the Markdown table here")
+    ap.add_argument("--out", help="write the Markdown tables here")
     args = ap.parse_args(argv)
 
     lines = [
-        "# Per-layer costs of one integration step",
+        "# Per-layer costs",
         "",
         f"`scripts/stage_costs.py`, median of `REPEATS` = {REPEATS} timings; "
         f"{platform.machine()}, {os.cpu_count()} cores (shared host), "
         f"Python {platform.python_version()}, numpy {np.__version__}.",
+        "",
+        "## One integration step",
+        "",
         "µs per call; *step* is a whole unitary-route run on [0, 1] with 2 "
         "samples divided by its accepted steps.  The shared host's speed "
         "drifts by up to 2x between runs, so compare rows of one run, and "
@@ -114,6 +149,21 @@ def main(argv=None) -> int:
             f"| {N} | {c['signal']:.1f} | {c['stage_unitary']:.1f} "
             f"| {c['stage_general']:.1f} | {c['abs_u']:.1f} | {c['step']:.0f} "
             f"| {c['steps']} / {c['rejected']} |"
+        )
+    lines += [
+        "",
+        "## Exact derivation",
+        "",
+        "ms per call; *terms* counts the terms of the schedule's equations.",
+        "",
+        "| N | derive_hierarchy | emit plain | emit latex | emit json | terms |",
+        "|---|---|---|---|---|---|",
+    ]
+    for N in DERIVE_NS:
+        c = derive_costs(N)
+        lines.append(
+            f"| {N} | {c['derive']:.2f} | {c['plain']:.2f} | {c['latex']:.2f} "
+            f"| {c['json']:.2f} | {c['terms']} |"
         )
     text = "\n".join(lines) + "\n"
     if args.out:

@@ -35,11 +35,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
 from .adjoint import AdjointMatrix, Algebra, algebra, apply_exp_ad
-from .symexpr import RationalComplex, SymbolicExpr
+from .symexpr import SymbolicExpr
 
 __all__ = [
     "CartanStage",
@@ -86,18 +87,12 @@ class RiccatiStage:
     kind = "riccati"
 
     def rhs_exprs(self) -> tuple[SymbolicExpr, ...]:
-        dim = len(self.unknowns)
         us = [SymbolicExpr.u(i) for i in self.unknowns]
-        quad = SymbolicExpr.zero()
-        for j in range(dim):
-            quad = quad + self.b[j] * us[j]
-        out = []
-        for i in range(dim):
-            e = self.c[i]
-            for j in range(dim):
-                e = e + self.C[i][j] * us[j]
-            out.append(e + us[i] * quad)
-        return tuple(out)
+        quad = SymbolicExpr.sum_of(b * u for b, u in zip(self.b, us))
+        return tuple(
+            SymbolicExpr.sum_of([c, *(C_ij * u for C_ij, u in zip(row, us)), u_i * quad])
+            for c, row, u_i in zip(self.c, self.C, us)
+        )
 
 
 @dataclass(frozen=True)
@@ -179,11 +174,7 @@ def _apply_ad_symbolic(
 ) -> list[SymbolicExpr]:
     out = [SymbolicExpr.zero()] * len(T)
     for r, cols in rows:
-        acc = SymbolicExpr.zero()
-        for q, c in cols:
-            if not T[q].is_zero:
-                acc = acc + c * T[q]
-        out[r] = acc
+        out[r] = SymbolicExpr.sum_of(c * T[q] for q, c in cols if not T[q].is_zero)
     return out
 
 
@@ -199,17 +190,14 @@ def _peel_generator_symbolic(
         ]
     rows = _ad_rows(ad)
     ul = SymbolicExpr.u(l)
+    first, second = sign * ul, _HALF * (ul * ul)
     AT = _apply_ad_symbolic(rows, T)
     AAT = _apply_ad_symbolic(rows, AT)
-    out = []
-    for r in range(len(T)):
-        e = T[r]
-        if not AT[r].is_zero:
-            e = e + sign * (ul * AT[r])
-        if not AAT[r].is_zero:
-            e = e + (_HALF * (ul * ul)) * AAT[r]
-        out.append(e)
-    return out
+    return [
+        e if at.is_zero and aat.is_zero
+        else SymbolicExpr.sum_of([e, first * at, second * aat])
+        for e, at, aat in zip(T, AT, AAT)
+    ]
 
 
 def _check_locality(
@@ -239,9 +227,10 @@ def _split_riccati(
     dim = len(indices)
     own = set(indices)
     pos = {l: i for i, l in enumerate(indices)}
-    c = [SymbolicExpr.zero()] * dim
-    C = [[SymbolicExpr.zero()] * dim for _ in range(dim)]
-    b_reads = [[SymbolicExpr.zero()] * dim for _ in range(dim)]
+    # each entry collects its single-term pieces, summed once at the end
+    c: list[list[SymbolicExpr]] = [[] for _ in range(dim)]
+    C = [[[] for _ in range(dim)] for _ in range(dim)]
+    b_reads = [[[] for _ in range(dim)] for _ in range(dim)]
 
     for i, expr in enumerate(exprs):
         for (form, mono), coeff in expr.terms():
@@ -256,10 +245,10 @@ def _split_riccati(
             )
             piece = SymbolicExpr({(form, rest): coeff})
             if deg == 0:
-                c[i] = c[i] + piece
+                c[i].append(piece)
             elif deg == 1:
                 j = own_syms[0][0]
-                C[i][pos[j]] = C[i][pos[j]] + piece
+                C[i][pos[j]].append(piece)
             elif deg == 2:
                 idxs = sorted(
                     idx for idx, p in own_syms for _ in range(p)
@@ -271,15 +260,16 @@ def _split_riccati(
                     )
                 idxs.remove(indices[i])
                 j = idxs[0]
-                b_reads[i][pos[j]] = b_reads[i][pos[j]] + piece
+                b_reads[i][pos[j]].append(piece)
             else:
                 raise StageLocalityError(
                     f"stage J_{k}: degree-{deg} term in own unknowns"
                 )
 
-    b = b_reads[0]
+    total = SymbolicExpr.sum_of
+    b = [total(pieces) for pieces in b_reads[0]]
     for i in range(1, dim):
-        if b_reads[i] != b:
+        if [total(pieces) for pieces in b_reads[i]] != b:
             raise StageLocalityError(
                 f"stage J_{k}: quadratic part is not rank-one "
                 f"(equations disagree on the shared vector)"
@@ -288,8 +278,8 @@ def _split_riccati(
     stage = RiccatiStage(
         k=k,
         unknowns=indices,
-        c=tuple(c),
-        C=tuple(tuple(row) for row in C),
+        c=tuple(total(pieces) for pieces in c),
+        C=tuple(tuple(total(pieces) for pieces in row) for row in C),
         b=tuple(b),
     )
     # lossless-split guard: reassembled equations must match the peel exactly
@@ -548,11 +538,12 @@ def emit(schedule: HierarchySchedule, fmt: str = "plain") -> str:
         rows[-1] = rows[-1][:-3]
         return "\\begin{aligned}\n" + "\n".join(rows) + "\n\\end{aligned}\n"
     if fmt == "json":
-        return json.dumps(_schedule_to_obj(schedule), indent=2) + "\n"
+        return _json_text(_schedule_to_obj(schedule, expr=lambda e: e)) + "\n"
     raise ValueError(f"unknown format {fmt!r} (expected plain, latex or json)")
 
 
-def _schedule_to_obj(schedule: HierarchySchedule) -> dict:
+def _schedule_to_obj(schedule: HierarchySchedule, expr=SymbolicExpr.to_json_obj) -> dict:
+    """The JSON document of a schedule; ``expr`` gives each expression's value."""
     stages = []
     for stage in schedule.stages:
         obj: dict = {
@@ -561,13 +552,35 @@ def _schedule_to_obj(schedule: HierarchySchedule) -> dict:
             "unknowns": list(stage.unknowns),
         }
         if stage.kind == "riccati":
-            obj["c"] = [e.to_json_obj() for e in stage.c]
-            obj["C"] = [[e.to_json_obj() for e in row] for row in stage.C]
-            obj["b"] = [e.to_json_obj() for e in stage.b]
+            obj["c"] = [expr(e) for e in stage.c]
+            obj["C"] = [[expr(e) for e in row] for row in stage.C]
+            obj["b"] = [expr(e) for e in stage.b]
         else:
-            obj["rhs"] = [e.to_json_obj() for e in stage.rhs]
+            obj["rhs"] = [expr(e) for e in stage.rhs]
         stages.append(obj)
     return {"schema": JSON_SCHEMA, "N": schedule.N, "stages": stages}
+
+
+def _json_text(obj, depth: int = 0) -> str:
+    """``json.dumps(obj, indent=2)`` nested ``depth`` levels deep, written
+    directly, for str, int, list and dict values and for expressions, which
+    write themselves (:meth:`SymbolicExpr.to_json_text`)."""
+    if isinstance(obj, SymbolicExpr):
+        return obj.to_json_text(depth)
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, dict):
+        brackets = "{}"
+        items = [f"{_quote(k)}: {_json_text(v, depth + 1)}" for k, v in obj.items()]
+    else:
+        brackets = "[]"
+        items = [_json_text(v, depth + 1) for v in obj]
+    if not items:
+        return brackets
+    nl = "\n" + "  " * depth
+    return brackets[0] + nl + "  " + ("," + nl + "  ").join(items) + nl + brackets[1]
 
 
 def parse_hierarchy_json(text: str) -> HierarchySchedule:

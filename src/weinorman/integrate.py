@@ -239,8 +239,8 @@ class _UnitaryChart:
     K = Q diag(r_ii / |r_ii| e^{i Im w_i}), |d_i| = |r_ii| gives
     Re w_i = log |r_ii|, and L = D^-1 R^H diag(...) gives |L_ij| =
     |R_ji| / |R_ii|.  The max-|u| test therefore needs R alone, which it
-    reads from LAPACK's raw QR output; Q is formed for samples, switches and
-    cond(A) checks.
+    reads from LAPACK's raw QR output, and so does u for a cond(A) check; Q
+    is formed for samples and switches only.
     """
 
     def __init__(self, alg: Algebra):
@@ -257,19 +257,25 @@ class _UnitaryChart:
         """(y, R^T) of U^-H = Q R for the state y; if ``full``, (y, R^T, K, u).
 
         R^T sits in the lower triangle; the raw LAPACK factor keeps
-        Householder vectors above it, which no reader here looks at.
+        Householder vectors above it, which no reader here looks at.  The
+        full QR's R is the same numbers.
         """
         Uih = np.linalg.inv(self.maps.upper_factor(y)).conj().T
         if not full:
             return y, np.linalg.qr(Uih, mode="raw")[0]
         Q, R = np.linalg.qr(Uih)
-        Rt, d = R.T, R.diagonal()
+        return (y, R.T, *self._rebuild(y, R.T, Q))
+
+    def _rebuild(self, y: np.ndarray, Rt: np.ndarray, Q: np.ndarray | None) -> tuple:
+        """(K, u) from the factors; K is None without Q."""
+        d = Rt.diagonal()
         r = np.abs(d)
         head = self._head(y, r)
         w = self.maps.cartan_diagonal(head)
         phases = d / r * np.exp(1j * w.imag)
         L = (Rt.conj() * phases) / np.exp(w)[:, None]
-        return y, Rt, Q * phases, np.concatenate([head, L.take(self.maps.lower_at)])
+        u = np.concatenate([head, L.take(self.maps.lower_at)])
+        return (None if Q is None else Q * phases), u
 
     def _head(self, y: np.ndarray, r: np.ndarray) -> np.ndarray:
         """The upper and Cartan coordinates: y plus Re w_i = log |r_ii|."""
@@ -284,7 +290,8 @@ class _UnitaryChart:
         return np.concatenate([np.abs(self._head(y, r)), lower])
 
     def u(self, f: tuple) -> np.ndarray:
-        return f[3]
+        """All n coordinates; from R alone where the factor has no Q."""
+        return f[3] if len(f) > 2 else self._rebuild(*f, None)[1]
 
     def K(self, f: tuple) -> np.ndarray:
         return f[2]
@@ -615,8 +622,6 @@ def integrate_wn(
         worst = int(np.argmax(absu))
         grown = absu[worst] > config.u_threshold
         if grown or absu[worst] > SMALL_CHART_U:
-            if not on_target:
-                f = chart.factor(y, full=True)
             cond = condition_estimate(assemble_A_gauss(alg, chart.u(f)))
             if grown or cond > config.cond_threshold:
                 report = SingularityReport(
@@ -629,6 +634,8 @@ def integrate_wn(
                 )
                 if not config.reanchor:
                     raise ChartSingularityError(report)
+                if not on_target:
+                    f = chart.factor(y, full=True)
                 K_base = chart.K(f) @ K_base
                 if not np.isfinite(K_base).all():
                     rk4 = f"; fixed_step = {config.fixed_step} is too coarse here"

@@ -18,8 +18,10 @@ evaluation happens in one place, :meth:`SymbolicExpr.evaluate`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 
 import numpy as np
 
@@ -31,43 +33,95 @@ ExpForm = tuple[tuple[int, int], ...]         # sorted (u-index, integer coeff !
 TermKey = tuple[ExpForm, Monomial]
 
 
-@dataclass(frozen=True)
-class RationalComplex:
-    """Exact complex number with rational real and imaginary parts."""
+def _rational(x: "int | Fraction") -> "int | Fraction":
+    """x as an ``int`` when it is integral, else the ``Fraction`` itself."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+
+class RationalComplex:
+    """Exact complex number with rational real and imaginary parts.
+
+    Each part is an ``int`` when it is integral and a ``Fraction`` otherwise,
+    so the integer arithmetic that makes up almost all of a derivation runs
+    on Python ints.  Instances are immutable.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: "int | Fraction" = 0, im: "int | Fraction" = 0):
+        for x in (re, im):
+            if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+                raise TypeError(f"parts must be int or Fraction, not {type(x).__name__}")
+        _set_re(self, _rational(re))
+        _set_im(self, _rational(im))
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"RationalComplex is immutable; cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return RationalComplex, (self.re, self.im)
 
     @staticmethod
     def coerce(x: "RationalComplex | Fraction | int") -> "RationalComplex":
         if isinstance(x, RationalComplex):
             return x
         if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
-            return RationalComplex(Fraction(x))
+            return RationalComplex(x)
         raise TypeError(f"cannot coerce {type(x).__name__} to RationalComplex")
 
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not RationalComplex:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
+
+    def __repr__(self) -> str:
+        return f"RationalComplex(re={self.re!r}, im={self.im!r})"
+
     def __add__(self, other: "RationalComplex") -> "RationalComplex":
-        return RationalComplex(self.re + other.re, self.im + other.im)
+        return _make(_rational(self.re + other.re), _rational(self.im + other.im))
 
     def __neg__(self) -> "RationalComplex":
-        return RationalComplex(-self.re, -self.im)
+        return _make(-self.re, -self.im)
 
     def __mul__(self, other: "RationalComplex") -> "RationalComplex":
-        return RationalComplex(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if not b and not d:
+            return _make(_rational(a * c), 0)
+        return _make(_rational(a * c - b * d), _rational(a * d + b * c))
 
     @property
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.re and not self.im
 
     def to_complex(self) -> complex:
         return complex(self.re, self.im)
 
 
+_new = object.__new__
+_set_re = RationalComplex.re.__set__
+_set_im = RationalComplex.im.__set__
+_term_key = itemgetter(0)
+
+
+def _make(re: "int | Fraction", im: "int | Fraction") -> RationalComplex:
+    """A value from parts that are already normalised (no checks)."""
+    out = _new(RationalComplex)
+    _set_re(out, re)
+    _set_im(out, im)
+    return out
+
+
 _ZERO = RationalComplex()
-_ONE = RationalComplex(Fraction(1))
+_ONE = RationalComplex(1)
+
+
+def _is_scalar(x) -> bool:
+    return isinstance(x, (int, Fraction, RationalComplex)) and not isinstance(x, bool)
 
 
 def _rat_plain(x: Fraction) -> str:
@@ -91,13 +145,16 @@ class SymbolicExpr:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[TermKey, RationalComplex] | None = None):
-        items = []
-        if terms:
-            for key, coeff in terms.items():
-                if not coeff.is_zero:
-                    items.append((key, coeff))
-        items.sort(key=lambda kv: kv[0])
+        items = [(key, c) for key, c in terms.items() if c.re or c.im] if terms else []
+        items.sort(key=_term_key)
         self._terms: tuple[tuple[TermKey, RationalComplex], ...] = tuple(items)
+
+    @staticmethod
+    def _canonical(terms: tuple[tuple[TermKey, RationalComplex], ...]) -> "SymbolicExpr":
+        """An expression from terms that are already sorted and nonzero."""
+        out = _new(SymbolicExpr)
+        out._terms = terms
+        return out
 
     # -- constructors -------------------------------------------------------
 
@@ -131,12 +188,21 @@ class SymbolicExpr:
 
     # -- ring arithmetic ----------------------------------------------------
 
+    @staticmethod
+    def sum_of(exprs: "Iterable[SymbolicExpr]") -> "SymbolicExpr":
+        """The sum of ``exprs``, with like terms merged once for all of them."""
+        acc: dict[TermKey, RationalComplex] = {}
+        get = acc.get
+        for expr in exprs:
+            for key, coeff in expr._terms:
+                old = get(key)
+                acc[key] = coeff if old is None else old + coeff
+        return SymbolicExpr(acc)
+
     def _coerce_operand(self, other) -> "SymbolicExpr | None":
         if isinstance(other, SymbolicExpr):
             return other
-        if isinstance(other, (int, Fraction, RationalComplex)) and not isinstance(
-            other, bool
-        ):
+        if _is_scalar(other):
             return SymbolicExpr.number(other)
         return None
 
@@ -144,15 +210,12 @@ class SymbolicExpr:
         rhs = self._coerce_operand(other)
         if rhs is None:
             return NotImplemented
-        acc: dict[TermKey, RationalComplex] = dict(self._terms)
-        for key, coeff in rhs._terms:
-            acc[key] = acc.get(key, _ZERO) + coeff
-        return SymbolicExpr(acc)
+        return SymbolicExpr.sum_of((self, rhs))
 
     __radd__ = __add__
 
     def __neg__(self) -> "SymbolicExpr":
-        return SymbolicExpr({key: -coeff for key, coeff in self._terms})
+        return SymbolicExpr._canonical(tuple((key, -c) for key, c in self._terms))
 
     def __sub__(self, other) -> "SymbolicExpr":
         rhs = self._coerce_operand(other)
@@ -167,15 +230,23 @@ class SymbolicExpr:
         return rhs + (-self)
 
     def __mul__(self, other) -> "SymbolicExpr":
-        rhs = self._coerce_operand(other)
-        if rhs is None:
-            return NotImplemented
+        if not isinstance(other, SymbolicExpr):
+            if not _is_scalar(other):
+                return NotImplemented
+            # a nonzero scalar keeps every key, so the order and the
+            # nonzero coefficients stand
+            x = RationalComplex.coerce(other)
+            if x.is_zero:
+                return SymbolicExpr()
+            return SymbolicExpr._canonical(tuple((key, c * x) for key, c in self._terms))
         acc: dict[TermKey, RationalComplex] = {}
+        get = acc.get
         for (form1, mono1), c1 in self._terms:
-            for (form2, mono2), c2 in rhs._terms:
+            for (form2, mono2), c2 in other._terms:
                 key = (_merge_forms(form1, form2), _merge_monomials(mono1, mono2))
                 c = c1 * c2
-                acc[key] = acc.get(key, _ZERO) + c
+                old = get(key)
+                acc[key] = c if old is None else old + c
         return SymbolicExpr(acc)
 
     __rmul__ = __mul__
@@ -297,6 +368,37 @@ class SymbolicExpr:
             )
         return terms
 
+    def to_json_text(self, depth: int = 0) -> str:
+        """``json.dumps(self.to_json_obj(), indent=2)``, written directly.
+
+        ``depth`` is the nesting level of the list in an enclosing document:
+        each line after the first is indented by 2 * ``depth`` more spaces.
+        """
+        if not self._terms:
+            return "[]"
+        n0 = "\n" + "  " * depth
+        n1, n2, n3, n4 = (n0 + "  " * k for k in range(1, 5))
+        pair = "[" + n4 + "%d," + n4 + "%d" + n3 + "]"
+        head = (
+            "{" + n2 + '"coeff": {' + n3 + '"re": ' + pair + "," + n3 + '"im": '
+            + pair + n2 + "}," + n2 + '"monomial": '
+        )
+        symbol = "[" + n4 + "%s," + n4 + "%d," + n4 + "%d" + n3 + "]"
+        middle, tail, sep = "," + n2 + '"exponent": ', n1 + "}", "," + n3
+        terms = []
+        for (form, mono), c in self._terms:
+            re, im = c.re, c.im
+            symbols = [symbol % (_quote(kind), idx, p) for (kind, idx), p in mono]
+            pairs = [pair % ic for ic in form]
+            terms.append(
+                head % (re.numerator, re.denominator, im.numerator, im.denominator)
+                + ("[" + n3 + sep.join(symbols) + n2 + "]" if symbols else "[]")
+                + middle
+                + ("[" + n3 + sep.join(pairs) + n2 + "]" if pairs else "[]")
+                + tail
+            )
+        return "[" + n1 + ("," + n1).join(terms) + n0 + "]"
+
     @staticmethod
     def from_json_obj(obj: list) -> "SymbolicExpr":
         acc: dict[TermKey, RationalComplex] = {}
@@ -321,18 +423,18 @@ class SymbolicExpr:
 
 
 def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
-    acc: dict[Symbol, int] = {}
-    for sym, p in m1:
-        acc[sym] = acc.get(sym, 0) + p
+    if not m1 or not m2:
+        return m1 or m2
+    acc: dict[Symbol, int] = dict(m1)
     for sym, p in m2:
         acc[sym] = acc.get(sym, 0) + p
     return tuple(sorted(acc.items()))
 
 
 def _merge_forms(f1: ExpForm, f2: ExpForm) -> ExpForm:
-    acc: dict[int, int] = {}
-    for i, c in f1:
-        acc[i] = acc.get(i, 0) + c
+    if not f1 or not f2:
+        return f1 or f2
+    acc: dict[int, int] = dict(f1)
     for i, c in f2:
         acc[i] = acc.get(i, 0) + c
     return tuple(sorted((i, c) for i, c in acc.items() if c != 0))

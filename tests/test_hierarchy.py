@@ -5,6 +5,8 @@ hand-built expressions, written out term by term, so a regression in the
 derivation cannot hide behind the emitter.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -28,6 +30,7 @@ from weinorman import (
 )
 from weinorman.hierarchy import (
     _derive_from_algebra,
+    _schedule_to_obj,
     assemble_A_gauss,
     condition_estimate,
     riccati_rhs,
@@ -401,6 +404,17 @@ def test_json_roundtrip(N):
     sched = derive_hierarchy(N)
     back = parse_hierarchy_json(emit(sched, "json"))
     assert back == sched
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+def test_json_writer_matches_json_dumps(N):
+    sched = derive_hierarchy(N)
+    got = emit(sched, "json").splitlines(keepends=True)
+    want = (json.dumps(_schedule_to_obj(sched), indent=2) + "\n").splitlines(keepends=True)
+    # the first differing line, not a diff of megabytes of text
+    first = next(((i, g, w) for i, (g, w) in enumerate(zip(got, want), 1) if g != w), None)
+    assert first is None
+    assert len(got) == len(want)
 
 
 def test_json_parse_rejects_bad_input():

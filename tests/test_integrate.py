@@ -544,6 +544,8 @@ def test_unitary_chart_rebuilds_a_unitary_K():
             assert u.shape == (alg.n,)
             assert np.array_equal(u[: chart.size].imag, y.imag)
             assert np.allclose(abs_u, np.abs(u), rtol=0, atol=1e-14)
+            # a cond(A) check reads u from the raw factor: the same bits
+            assert np.array_equal(chart.u(chart.factor(y, full=False)), u)
 
 
 def test_both_routes_match_the_oracle():

@@ -22,8 +22,11 @@ def _combine(pair):
     return x * y
 
 
+_fractions = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+
 _atoms = st.one_of(
     st.integers(-3, 3).map(SymbolicExpr.number),
+    st.builds(RationalComplex, _fractions, _fractions).map(SymbolicExpr.number),
     st.integers(1, 4).map(SymbolicExpr.a),
     st.integers(1, 4).map(SymbolicExpr.u),
     st.dictionaries(
@@ -68,10 +71,13 @@ def test_evaluate_is_a_homomorphism(x, y, av, uv):
     assert abs((-x).evaluate(av, uv) + x.evaluate(av, uv)) < 1e-12 * scale
 
 
-@given(exprs)
-def test_json_roundtrip(x):
+@given(exprs, st.integers(0, 3))
+def test_json_roundtrip(x, depth):
     text = json.dumps(x.to_json_obj())
     assert SymbolicExpr.from_json_obj(json.loads(text)) == x
+    # the direct writer gives json.dumps's indent-2 text, nested depth deep
+    nested = json.dumps(x.to_json_obj(), indent=2).replace("\n", "\n" + "  " * depth)
+    assert x.to_json_text(depth) == nested
 
 
 def test_exponential_forms_merge_and_cancel():
@@ -123,6 +129,30 @@ def test_rational_and_complex_coefficients():
     mixed = RationalComplex(Fraction(1), Fraction(-2))
     assert (SymbolicExpr.number(mixed) * a(1)).render_plain() == "(1-2i)*a1"
     assert i * i == RationalComplex(Fraction(-1))
+    # parts are ints when integral, Fractions otherwise
+    two = RationalComplex(Fraction(4, 2))
+    assert type(two.re) is int and two.re == 2 and type(two.im) is int
+    assert two == RationalComplex(2) and hash(two) == hash(RationalComplex(2))
+    half = RationalComplex(Fraction(1, 2))
+    assert half.re == Fraction(1, 2) and type(half.re) is Fraction
+    # a 1/2 coefficient that comes out integral is an int again
+    assert type((half * RationalComplex(2)).re) is int
+    assert type((half + half).re) is int
+    ((_, coeff),) = (SymbolicExpr.number(Fraction(1, 2)) * 2 * u(1)).terms()
+    assert type(coeff.re) is int and coeff == RationalComplex(1)
+    # a 1/2 coefficient keeps its [num, den] pair and round-trips
+    obj = (SymbolicExpr.number(half) * u(1)).to_json_obj()
+    assert obj[0]["coeff"] == {"re": [1, 2], "im": [0, 1]}
+    assert SymbolicExpr.from_json_obj(obj) == SymbolicExpr.number(half) * u(1)
+
+
+def test_rational_complex_is_immutable():
+    x = RationalComplex(1, 2)
+    with pytest.raises(AttributeError):
+        x.re = 3
+    with pytest.raises(AttributeError):
+        del x.im
+    assert x == RationalComplex(1, 2)
 
 
 def test_rendering_is_deterministic():
@@ -150,3 +180,5 @@ def test_coerce_rejects_junk():
         SymbolicExpr.number(1.5)
     with pytest.raises(TypeError):
         RationalComplex.coerce(True)
+    with pytest.raises(TypeError):
+        RationalComplex(0.5)
