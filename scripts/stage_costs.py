@@ -15,10 +15,13 @@ chart state a seeded reduced state with |u| <= 0.3.  Four layers are timed:
   (``_GaussChart.rates``, the block peel ``rhs``), written into its row of
   the stage buffer with the trace rate;
 - *abs_u*: the max-|u| test of the unitary route, ``_UnitaryChart.factor``
-  without Q (R from a raw QR) and ``abs_u``;
+  (R from a raw QR, no Q) and ``abs_u``;
 - *step*: a whole ``integrate_wn`` run on [0, 1] with 2 samples, unitary
   route, divided by its accepted steps (trust-region checks, switches and
-  the two samples included).
+  the two samples included);
+- *dense step*: the same run with 1001 samples, which clamp it to at least
+  1000 steps, divided by its accepted steps: the per-step cost of a dense
+  grid, the samples' rebuild included.
 
 The derivation table gives ms per call for N = 2..8 of the symbolic layer:
 ``derive_hierarchy(N)`` (the full exact peel; only the algebra is built
@@ -87,19 +90,23 @@ def costs(N: int) -> dict:
         chart.rates(M0, y, out)
         out[-1] = rate
 
-    cfg = IntegrationConfig(t1=1.0, samples=2)
-    traj = integrate_wn(sig, cfg)
-    run_us = _median_us(lambda: integrate_wn(sig, cfg), 1)
+    def step_us(samples: int) -> tuple[float, int, int]:
+        """µs per accepted step of a run on [0, 1]; its accepted and rejected steps."""
+        cfg = IntegrationConfig(t1=1.0, samples=samples)
+        traj = integrate_wn(sig, cfg)
+        run_us = _median_us(lambda: integrate_wn(sig, cfg), 1)
+        return run_us / traj.n_steps, traj.n_steps, traj.n_rejected
+
+    step, steps, rejected = step_us(2)
     return {
         "signal": _median_us(lambda: _traceless_matrices(sig, ts), 2000),
         "stage_unitary": _median_us(lambda: stage(unitary, y, out_unitary), 2000),
         "stage_general": _median_us(lambda: stage(general, u, out_general), 1000),
-        "abs_u": _median_us(
-            lambda: unitary.abs_u(unitary.factor(y, full=False)), 2000
-        ),
-        "step": run_us / traj.n_steps,
-        "steps": traj.n_steps,
-        "rejected": traj.n_rejected,
+        "abs_u": _median_us(lambda: unitary.abs_u(y, unitary.factor(y)), 2000),
+        "step": step,
+        "steps": steps,
+        "rejected": rejected,
+        "dense_step": step_us(1001)[0],
     }
 
 
@@ -135,20 +142,21 @@ def main(argv=None) -> int:
         "## One integration step",
         "",
         "µs per call; *step* is a whole unitary-route run on [0, 1] with 2 "
-        "samples divided by its accepted steps.  The shared host's speed "
+        "samples divided by its accepted steps, *dense step* the same with "
+        "1001 samples.  The shared host's speed "
         "drifts by up to 2x between runs, so compare rows of one run, and "
         "runs only by the median of several.",
         "",
         "| N | signal, 5 stage times | unitary stage | general stage | abs_u "
-        "| step | accepted / rejected |",
-        "|---|---|---|---|---|---|---|",
+        "| step | accepted / rejected | dense step |",
+        "|---|---|---|---|---|---|---|---|",
     ]
     for N in NS:
         c = costs(N)
         lines.append(
             f"| {N} | {c['signal']:.1f} | {c['stage_unitary']:.1f} "
             f"| {c['stage_general']:.1f} | {c['abs_u']:.1f} | {c['step']:.0f} "
-            f"| {c['steps']} / {c['rejected']} |"
+            f"| {c['steps']} / {c['rejected']} | {c['dense_step']:.0f} |"
         )
     lines += [
         "",

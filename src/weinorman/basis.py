@@ -247,11 +247,11 @@ class IndexMaps:
     gather: np.ndarray
 
     def cartan_diagonal(self, a: np.ndarray) -> np.ndarray:
-        """Diagonal of sum_l a(H_l) H_l for a coefficient vector a."""
+        """Diagonal of sum_l a(H_l) H_l for a coefficient vector a, or a stack."""
         # H_l puts +a_l at (l, l) and -a_l at (l+1, l+1)
-        h = np.zeros(self.N + 1, dtype=complex)
-        h[1 : self.N] = a[self.cartan]
-        return h[1:] - h[:-1]
+        h = np.zeros(a.shape[:-1] + (self.N + 1,), dtype=complex)
+        h[..., 1 : self.N] = a[..., self.cartan]
+        return h[..., 1:] - h[..., :-1]
 
     def gauss_factors(
         self, u: np.ndarray

@@ -38,6 +38,9 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
+# the LAPACK gufunc behind np.linalg.solve, without its per-call checks and
+# errstate; tests/test_integrate.py pins it bit for bit against the public call
+from numpy.linalg._umath_linalg import solve as _solve
 
 from .adjoint import AdjointMatrix, Algebra, algebra, apply_exp_ad
 from .symexpr import SymbolicExpr
@@ -357,10 +360,12 @@ def riccati_rhs(
     in U: the paper's hierarchy of matrix Riccati equations, one per column
     block.  The Cartan rates are the partial sums of diag(T), a quadrature
     once U is known.  :func:`rhs` and the unitary route of ``integrate_wn``
-    both read these two slices from here.
+    both read these two slices from here.  T comes from the LAPACK gufunc
+    behind ``np.linalg.solve``: a unit triangular U is never singular, and a
+    non-finite one gives a non-finite T, not an error.
     """
     maps = alg.basis.maps
-    T = np.linalg.solve(U, M @ U)
+    T = _solve(U, M @ U)
     upper = (U @ (T * maps.above)).take(maps.upper_at)
     return T, upper, T.diagonal().cumsum()[: alg.N - 1]
 

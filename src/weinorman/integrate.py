@@ -1,10 +1,12 @@
 """Time integration of the factorized flow and its direct-product oracle.
 
 `integrate_wn` evolves the chart coordinates u(t) of
-K = exp(u_1 X_1) ... exp(u_n X_n) through the staged right-hand sides,
-reconstructing K at the requested sample times only, as its Gauss factors
+K = exp(u_1 X_1) ... exp(u_n X_n) through the staged right-hand sides and
+rebuilds K at the requested sample times only, as its Gauss factors
 K = U diag(exp w) L (the upper coordinates fill U, the lower ones L, and w
-comes from the Cartan ones).  Charts are kept small: once a coordinate
+comes from the Cartan ones).  A sample keeps the state and the chart's
+factor of it; when the run ends, K, u and the phases of all samples are
+rebuilt in one stacked computation.  Charts are kept small: once a coordinate
 leaves |u| <= SMALL_CHART_U (or, with a raised ``u_threshold``, the stage
 system turns ill-conditioned), the accumulated K is frozen as a right
 factor and u resets to zero inside the same step loop.  Propagators compose,
@@ -19,7 +21,11 @@ and the imaginary parts of the Cartan ones, a quadrature.  K is rebuilt from
 a QR factorisation, unitary to round-off by construction, and the remaining
 coordinates follow algebraically (see `_UnitaryChart`).  Every other signal
 integrates all n coordinates.  Both share the stepper, the trust region on
-all n coordinates, chart switching and sampling.
+all n coordinates, chart switching and sampling.  The per-stage solve and
+the per-step inverse and QR call numpy's LAPACK gufuncs
+(``numpy.linalg._umath_linalg``) directly, without the public functions'
+per-call checks; they are private numpy API, and
+``tests/test_integrate.py`` pins them bit for bit against the public calls.
 
 `integrate_direct` integrates the matrix equation K' = M(t) K entry-wise
 with the same embedded pair at oracle tolerances — an independent route
@@ -49,6 +55,11 @@ import json
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
+# LAPACK gufuncs behind np.linalg.inv and np.linalg.qr, called without the
+# public functions' per-call checks and errstate
+from numpy.linalg._umath_linalg import inv as _inv
+from numpy.linalg._umath_linalg import qr_r_raw as _qr_r_raw
+from numpy.linalg._umath_linalg import qr_reduced as _qr_reduced
 
 from .adjoint import Algebra, algebra
 # assemble_A_numeric is the oracle and is never called here; the name stays
@@ -192,17 +203,30 @@ class IntegrationConfig:
 
 
 def reconstruct_K(alg: Algebra, u: np.ndarray) -> np.ndarray:
-    """K = exp(u_1 X_1) ... exp(u_n X_n), as its Gauss factors U diag(exp w) L."""
+    """K = exp(u_1 X_1) ... exp(u_n X_n), as its Gauss factors U diag(exp w) L.
+
+    ``u`` may also be a stack (..., n) of coordinate vectors, which gives
+    the stack (..., N, N) of their K.
+    """
     u = np.asarray(u, dtype=complex)
-    if u.shape != (alg.n,):
+    if u.shape[-1:] != (alg.n,):
         raise ValueError(f"expected a {alg.n}-vector, got shape {u.shape}")
-    U, w, L = alg.basis.maps.gauss_factors(u)
-    return (U * np.exp(w)) @ L
+    maps = alg.basis.maps
+    U = np.broadcast_to(maps.eye, u.shape[:-1] + maps.eye.shape).copy()
+    L = U.copy()
+    U.reshape(u.shape[:-1] + (-1,))[..., maps.upper_at] = u[..., maps.upper]
+    L.reshape(u.shape[:-1] + (-1,))[..., maps.lower_at] = u[..., maps.lower]
+    return (U * np.exp(maps.cartan_diagonal(u))[..., None, :]) @ L
 
 
 # ---------------------------------------------------------------------------
 # charts: what the state holds, and the coordinates and K it stands for
 # ---------------------------------------------------------------------------
+#
+# Each chart has ``factor(y)``, the factorisation of a state that the max-|u|
+# test needs (a tuple of arrays), ``abs_u(y, f)``, and ``rebuild(y, f, K)``,
+# which gives (K_chart, u) for one state or for stacks of states and their
+# factors along leading axes; K_chart is None unless ``K``.
 
 
 class _GaussChart:
@@ -215,18 +239,16 @@ class _GaussChart:
     def rates(self, M0: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
         out[: self.size] = rhs(self.alg, y[: self.size], M0)
 
-    def factor(self, y: np.ndarray, full: bool) -> np.ndarray:
-        """The state itself: u is read off it; K is built only when asked for."""
-        return y
+    def factor(self, y: np.ndarray) -> tuple:
+        """Nothing: u is read off the state itself."""
+        return ()
 
-    def abs_u(self, f: np.ndarray) -> np.ndarray:
-        return np.abs(f[: self.size])
+    def abs_u(self, y: np.ndarray, f: tuple) -> np.ndarray:
+        return np.abs(y[: self.size])
 
-    def u(self, f: np.ndarray) -> np.ndarray:
-        return f[: self.size]
-
-    def K(self, f: np.ndarray) -> np.ndarray:
-        return reconstruct_K(self.alg, f[: self.size])
+    def rebuild(self, y: np.ndarray, f: tuple, K: bool = True) -> tuple:
+        u = y[..., : self.size]
+        return (reconstruct_K(self.alg, u) if K else None), u
 
 
 class _UnitaryChart:
@@ -239,8 +261,9 @@ class _UnitaryChart:
     K = Q diag(r_ii / |r_ii| e^{i Im w_i}), |d_i| = |r_ii| gives
     Re w_i = log |r_ii|, and L = D^-1 R^H diag(...) gives |L_ij| =
     |R_ji| / |R_ii|.  The max-|u| test therefore needs R alone, which it
-    reads from LAPACK's raw QR output, and so does u for a cond(A) check; Q
-    is formed for samples and switches only.
+    reads from LAPACK's raw QR output, and so does u for a cond(A) check.  Q
+    is formed from the same raw output: once per switch, and once per run
+    for all samples together.
     """
 
     def __init__(self, alg: Algebra):
@@ -253,48 +276,38 @@ class _UnitaryChart:
         _, out[maps.upper], cartan = riccati_rhs(self.alg, maps.upper_factor(y), M0)
         out[maps.cartan] = 1j * cartan.imag
 
-    def factor(self, y: np.ndarray, full: bool) -> tuple:
-        """(y, R^T) of U^-H = Q R for the state y; if ``full``, (y, R^T, K, u).
+    def factor(self, y: np.ndarray) -> tuple:
+        """(R^T, tau): LAPACK's raw QR of U^-H = Q R for the state y.
 
-        R^T sits in the lower triangle; the raw LAPACK factor keeps
-        Householder vectors above it, which no reader here looks at.  The
-        full QR's R is the same numbers.
+        R^T sits in the lower triangle; above it lie the Householder
+        vectors, which with tau give Q and which only :meth:`rebuild` reads.
         """
-        Uih = np.linalg.inv(self.maps.upper_factor(y)).conj().T
-        if not full:
-            return y, np.linalg.qr(Uih, mode="raw")[0]
-        Q, R = np.linalg.qr(Uih)
-        return (y, R.T, *self._rebuild(y, R.T, Q))
+        a = _inv(self.maps.upper_factor(y)).conj()
+        return a, _qr_r_raw(a.T)  # factorises U^-H = a^T in place
 
-    def _rebuild(self, y: np.ndarray, Rt: np.ndarray, Q: np.ndarray | None) -> tuple:
-        """(K, u) from the factors; K is None without Q."""
-        d = Rt.diagonal()
-        r = np.abs(d)
-        head = self._head(y, r)
-        w = self.maps.cartan_diagonal(head)
-        phases = d / r * np.exp(1j * w.imag)
-        L = (Rt.conj() * phases) / np.exp(w)[:, None]
-        u = np.concatenate([head, L.take(self.maps.lower_at)])
-        return (None if Q is None else Q * phases), u
-
-    def _head(self, y: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """The upper and Cartan coordinates: y plus Re w_i = log |r_ii|."""
-        head = y[: self.size].copy()
-        head[self.maps.cartan] += np.log(r).cumsum()[: self.alg.N - 1]
-        return head
-
-    def abs_u(self, f: tuple) -> np.ndarray:
-        y, Rt = f[:2]
+    def abs_u(self, y: np.ndarray, f: tuple) -> np.ndarray:
+        Rt = f[0]
         r = np.abs(Rt.diagonal())
         lower = (np.abs(Rt) / r[:, None]).take(self.maps.lower_at)
         return np.concatenate([np.abs(self._head(y, r)), lower])
 
-    def u(self, f: tuple) -> np.ndarray:
-        """All n coordinates; from R alone where the factor has no Q."""
-        return f[3] if len(f) > 2 else self._rebuild(*f, None)[1]
+    def rebuild(self, y: np.ndarray, f: tuple, K: bool = True) -> tuple:
+        Rt, tau = f
+        d = Rt.diagonal(0, -2, -1)
+        r = np.abs(d)
+        head = self._head(y, r)
+        w = self.maps.cartan_diagonal(head)
+        phases = (d / r * np.exp(1j * w.imag))[..., None, :]  # scales columns
+        L = (Rt.conj() * phases) / np.exp(w)[..., None]
+        lower = L.reshape(L.shape[:-2] + (-1,))[..., self.maps.lower_at]
+        u = np.concatenate([head, lower], axis=-1)
+        return (_qr_reduced(Rt.swapaxes(-1, -2), tau) * phases if K else None), u
 
-    def K(self, f: tuple) -> np.ndarray:
-        return f[2]
+    def _head(self, y: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """The upper and Cartan coordinates: y plus Re w_i = log |r_ii|."""
+        head = y[..., : self.size].copy()
+        head[..., self.maps.cartan] += np.log(r).cumsum(axis=-1)[..., : self.alg.N - 1]
+        return head
 
 
 # ---------------------------------------------------------------------------
@@ -531,42 +544,41 @@ class Trajectory:
         return trajectory_from_json(text)
 
 
-class _Samples:
-    """Sample rows recorded by either route, assembled into a Trajectory."""
+def _trajectory(N, rows, rebuild, method, counts, seed, events=()) -> Trajectory:
+    """Sample rows (t, y, h_last, f, chart) of either route, as a Trajectory.
 
-    def __init__(self, N: int, charted: bool):
-        self.N = N
-        self.charted = charted
-        self.rows: list[tuple] = []
-
-    def add(self, t, K, K_engine, phase, h_last, u=None, chart=0) -> None:
-        """One sample of the physical K and its traceless K_engine = K / phase."""
-        self.rows.append((t, K, K_engine, complex(phase), h_last, u, chart))
-
-    def trajectory(self, method, counts, seed, events=()) -> Trajectory:
-        """The rows as arrays; the defects are taken over the stack at once."""
-        t, K, K_engine, phase, step, u, chart = map(np.array, zip(*self.rows))
-        # silenced as in the run: a blown-up sample shows as a non-finite defect
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            gram = K.conj().transpose(0, 2, 1) @ K - np.eye(self.N)
-            unitarity = np.linalg.norm(gram, axis=(1, 2))
-            det = np.abs(np.linalg.det(K_engine) - 1.0)
-        return Trajectory(
-            N=self.N,
-            t=t,
-            K=K,
-            u=u if self.charted else None,
-            phase_factor=phase,
-            chart_index=chart if self.charted else None,
-            unitarity_defect=unitarity,
-            det_defect=det,
-            step_size=step,
-            chart_events=tuple(events),
-            method=method,
-            n_steps=counts[0],
-            n_rejected=counts[1],
-            seed=seed,
-        )
+    A row holds the state y at a sample and the chart's factor f of it, not
+    matrices.  ``rebuild(y, f, chart, phase)`` turns the stacked rows, with
+    phase = exp(y[:, -1]), into (K, K_engine, u) in one call per run, where
+    K_engine = K / phase is the traceless engine factor and u is None on the
+    route without charts.  The defects are taken over the stack at once.
+    """
+    t, y, step, f, chart = zip(*rows)
+    t, y, step, chart = map(np.array, (t, y, step, chart))
+    f = tuple(map(np.array, zip(*f)))
+    # silenced as in the run: a blown-up sample shows as a non-finite defect
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        phase = np.exp(y[:, -1])
+        K, K_engine, u = rebuild(y, f, chart, phase)
+        gram = K.conj().transpose(0, 2, 1) @ K - np.eye(N)
+        unitarity = np.linalg.norm(gram, axis=(1, 2))
+        det = np.abs(np.linalg.det(K_engine) - 1.0)
+    return Trajectory(
+        N=N,
+        t=t,
+        K=K,
+        u=u,
+        phase_factor=phase,
+        chart_index=None if u is None else chart,
+        unitarity_defect=unitarity,
+        det_defect=det,
+        step_size=step,
+        chart_events=tuple(events),
+        method=method,
+        n_steps=counts[0],
+        n_rejected=counts[1],
+        seed=seed,
+    )
 
 
 def _sample_grid(signal: CoefficientSignal, config: IntegrationConfig) -> list[float]:
@@ -601,11 +613,16 @@ def integrate_wn(
     chart = (
         _UnitaryChart if isinstance(signal, HamiltonianSignal) else _GaussChart
     )(alg)
-    samples = _Samples(alg.N, charted=True)
+    rows: list[tuple] = []
     events: list[SingularityReport] = []
+    # K(t_s, t0) at t0 and at each switch t_s; chart c holds K(t, t_s) of
+    # the c-th switch
+    bases = [np.eye(alg.N, dtype=complex)]
 
-    # K(t_s, t0) at the last switch t_s; the chart holds K(t, t_s)
-    K_base = np.eye(alg.N, dtype=complex)
+    def rebuild(y, f, index, phase):
+        K_chart, u = chart.rebuild(y, f)
+        K_engine = K_chart @ np.array(bases)[index]
+        return phase[:, None, None] * K_engine, K_engine, u
 
     def stage(M0: np.ndarray, rate: complex, y: np.ndarray, out: np.ndarray) -> None:
         chart.rates(M0, y, out)
@@ -613,16 +630,17 @@ def integrate_wn(
 
     def after(t: float, y: np.ndarray, h_last: float, on_target: bool) -> np.ndarray:
         """The trust region (u-growth, then cond(A) once |u| > SMALL_CHART_U),
-        then the sample on a target.  A breakdown freezes K into K_base and
-        hands back the new chart's state, which a sample on this step records.
+        then the sample on a target.  A breakdown freezes K into a new base
+        and hands back the new chart's state, which a sample on this step
+        records.  A sample keeps the state and its factor for the rebuild.
         """
-        nonlocal K_base
-        f = chart.factor(y, full=on_target)
-        absu = chart.abs_u(f)
+        f = chart.factor(y)
+        absu = chart.abs_u(y, f)
         worst = int(np.argmax(absu))
         grown = absu[worst] > config.u_threshold
         if grown or absu[worst] > SMALL_CHART_U:
-            cond = condition_estimate(assemble_A_gauss(alg, chart.u(f)))
+            u = chart.rebuild(y, f, K=False)[1]
+            cond = condition_estimate(assemble_A_gauss(alg, u))
             if grown or cond > config.cond_threshold:
                 report = SingularityReport(
                     time=float(t),
@@ -634,29 +652,25 @@ def integrate_wn(
                 )
                 if not config.reanchor:
                     raise ChartSingularityError(report)
-                if not on_target:
-                    f = chart.factor(y, full=True)
-                K_base = chart.K(f) @ K_base
-                if not np.isfinite(K_base).all():
+                base = chart.rebuild(y, f)[0] @ bases[-1]
+                if not np.isfinite(base).all():
                     rk4 = f"; fixed_step = {config.fixed_step} is too coarse here"
                     raise RuntimeError(f"chart frozen at t = {t:.9f} is non-finite"
                                        + (rk4 if config.method == "rk4" else ""))
+                bases.append(base)
                 events.append(report)
                 y = np.concatenate([np.zeros(chart.size, dtype=complex), [y[-1]]])
                 if not on_target:
                     return y
-                f = chart.factor(y, full=True)
+                f = chart.factor(y)
         if on_target:
-            K_engine = chart.K(f) @ K_base
-            scale = np.exp(y[-1])
-            samples.add(t, scale * K_engine, K_engine, scale, h_last, chart.u(f),
-                        len(events))
+            rows.append((t, y, h_last, f, len(events)))
         return y
 
     y = np.zeros(chart.size + 1, dtype=complex)
     counts = _drive(stage, lambda ts: _traceless_matrices(signal, ts),
                     float(config.t0), y, grid, config, after)
-    return samples.trajectory(config.method, counts, seed, events)
+    return _trajectory(alg.N, rows, rebuild, config.method, counts, seed, events)
 
 
 def integrate_direct(
@@ -678,7 +692,11 @@ def integrate_direct(
     oracle_cfg = replace(
         config, method="adaptive", atol=atol, rtol=rtol, first_step=None
     )
-    samples = _Samples(N, charted=False)
+    rows: list[tuple] = []
+
+    def rebuild(y, f, index, phase):
+        K = np.ascontiguousarray(y[:, : N * N].reshape(-1, N, N))
+        return K, K / phase[:, None, None], None
 
     def stage(M: np.ndarray, rate: complex, y: np.ndarray, out: np.ndarray) -> None:
         np.matmul(M, y[: N * N].reshape(N, N), out=out[: N * N].reshape(N, N))
@@ -686,14 +704,13 @@ def integrate_direct(
 
     def after(t: float, y: np.ndarray, h_last: float, on_target: bool) -> np.ndarray:
         if on_target:
-            K, scale = y[: N * N].reshape(N, N), np.exp(y[N * N])
-            samples.add(t, K, K / scale, scale, h_last)
+            rows.append((t, y, h_last, (), 0))
         return y
 
     y = np.concatenate([np.eye(N, dtype=complex).ravel(), [0j]])
     counts = _drive(stage, lambda ts: _matrices(signal, ts), float(config.t0), y,
                     grid, oracle_cfg, after)
-    return samples.trajectory("adaptive", counts, seed)
+    return _trajectory(N, rows, rebuild, "adaptive", counts, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -332,9 +332,10 @@ def test_factor_matrix_is_identity_at_origin(N):
     assert np.array_equal(assemble_A_numeric(alg, np.zeros(alg.n)), np.eye(alg.n))
 
 
-def test_symbolic_schedule_matches_numeric_peel():
-    alg = algebra(4)
-    sched = derive_hierarchy(4)
+@pytest.mark.parametrize("N", range(2, 9))
+def test_symbolic_schedule_matches_numeric_peel(N):
+    alg = algebra(N)
+    sched = derive_hierarchy(N)
     rng = np.random.default_rng(3)
     uv = 0.5 * (rng.standard_normal(alg.n) + 1j * rng.standard_normal(alg.n))
     av = rng.standard_normal(alg.n) + 1j * rng.standard_normal(alg.n)
@@ -343,7 +344,7 @@ def test_symbolic_schedule_matches_numeric_peel():
     assert np.linalg.norm(sym - num) < 1e-10 * max(np.linalg.norm(num), 1.0)
 
 
-@pytest.mark.parametrize("N", [2, 3, 4, 5])
+@pytest.mark.parametrize("N", range(2, 9))
 def test_riccati_rhs_matches_the_symbolic_stages(N):
     # the numeric Riccati hierarchy and Cartan quadrature against the
     # RiccatiStage and CartanStage equations of derive_hierarchy

@@ -22,9 +22,11 @@ from weinorman import (
     random_antihermitian_signal,
     reconstruct_K,
 )
+from weinorman import hierarchy, integrate
 from weinorman.hierarchy import assemble_A_gauss, rhs
 from weinorman.integrate import (
     _drive,
+    _GaussChart,
     _UnitaryChart,
     condition_estimate,
 )
@@ -534,9 +536,9 @@ def test_unitary_chart_rebuilds_a_unitary_K():
         for _ in range(10):
             y = _reduced_state(alg, rng)
             chart = _UnitaryChart(alg)
-            abs_u = chart.abs_u(chart.factor(y, full=False))  # from R alone
-            f = chart.factor(y, full=True)
-            K, u = chart.K(f), chart.u(f)
+            f = chart.factor(y)
+            abs_u = chart.abs_u(y, f)  # from R alone
+            K, u = chart.rebuild(y, f)
             # measured at most 1.6e-15, 1.6e-15 and 1.7e-15
             assert np.linalg.norm(K.conj().T @ K - np.eye(N)) < 1e-14
             assert abs(np.linalg.det(K) - 1) < 1e-14
@@ -544,8 +546,52 @@ def test_unitary_chart_rebuilds_a_unitary_K():
             assert u.shape == (alg.n,)
             assert np.array_equal(u[: chart.size].imag, y.imag)
             assert np.allclose(abs_u, np.abs(u), rtol=0, atol=1e-14)
-            # a cond(A) check reads u from the raw factor: the same bits
-            assert np.array_equal(chart.u(chart.factor(y, full=False)), u)
+            # a cond(A) check reads u without forming Q: the same bits
+            assert np.array_equal(chart.rebuild(y, f, K=False)[1], u)
+
+
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+def test_private_lapack_gufuncs_match_the_public_calls():
+    # the stage solve and the per-step inverse and QR call numpy's private
+    # numpy.linalg._umath_linalg gufuncs: they must give the public calls'
+    # bits on unit upper triangular U (and on the U^-H that the unitary chart
+    # factorises), one matrix at a time and stacked, and, under the run's
+    # errstate, the same non-finite result, without raising, on NaN or inf
+    rng = np.random.default_rng(26)
+    for N in range(2, 13):
+        shape = (6, N, N)
+        U = np.triu(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), 1)
+        U += np.eye(N)
+        above = np.flatnonzero(np.triu(np.ones((N, N)), 1))
+        for k, bad in enumerate((np.nan, np.inf, -np.inf), start=3):
+            U[k].put(rng.choice(above), bad)
+        B = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            X = np.linalg.inv(U).conj().swapaxes(-1, -2)
+            stack = X.copy()
+            tau = integrate._qr_r_raw(stack)
+            stacked = (
+                hierarchy._solve(U, B), integrate._inv(U), stack, tau,
+                integrate._qr_reduced(stack, tau),
+            )
+            for i in range(len(U)):
+                one = X[i].copy()
+                tau_one = integrate._qr_r_raw(one)
+                got = (
+                    hierarchy._solve(U[i], B[i]), integrate._inv(U[i]), one,
+                    tau_one, integrate._qr_reduced(one, tau_one),
+                )
+                raw, raw_tau = np.linalg.qr(X[i], mode="raw")
+                want = (
+                    np.linalg.solve(U[i], B[i]), np.linalg.inv(U[i]), raw.T,
+                    raw_tau, np.linalg.qr(X[i])[0],
+                )
+                assert np.isfinite(want[0]).all() == (i < 3)
+                for g, s, w in zip(got, stacked, want):
+                    assert _bits(g) == _bits(w) == _bits(s[i])
 
 
 def test_both_routes_match_the_oracle():
@@ -598,25 +644,111 @@ def test_unitary_route_takes_neither_rhs_nor_reconstruct_K(monkeypatch):
         integrate_wn(twin, cfg)
 
 
+def _counting_qr(monkeypatch) -> dict:
+    """Count the unitary route's R factorisations and its Q stacks' shapes."""
+    calls = {"R": 0, "Q": []}
+    raw, reduced = integrate._qr_r_raw, integrate._qr_reduced
+
+    def counting_raw(a):
+        calls["R"] += 1
+        return raw(a)
+
+    def counting_reduced(a, tau):
+        calls["Q"].append(a.shape[:-2])
+        return reduced(a, tau)
+
+    monkeypatch.setattr(integrate, "_qr_r_raw", counting_raw)
+    monkeypatch.setattr(integrate, "_qr_reduced", counting_reduced)
+    return calls
+
+
 def test_unitary_samples_reuse_the_step_factorisation(monkeypatch):
-    # every step ends on a sample: one QR per accepted step, plus t0's
-    calls = []
-    qr = np.linalg.qr
-
-    def counting(a, mode="reduced"):
-        calls.append(mode)
-        return qr(a, mode=mode)
-
-    monkeypatch.setattr(np.linalg, "qr", counting)
+    # one R per accepted step, plus t0's, and none more for a sample; Q is
+    # formed once per run, for all samples in one stacked call
+    calls = _counting_qr(monkeypatch)
     sig = random_antihermitian_signal(4, np.random.default_rng(4), sup_norm=1.0)
-    traj = integrate_wn(sig, IntegrationConfig(t1=1.0, samples=201))
-    assert not traj.chart_events and traj.n_steps == 200
-    assert calls == ["reduced"] * (traj.n_steps + 1)
-    # on a coarse grid the steps between samples test R alone
-    calls.clear()
-    traj = integrate_wn(sig, IntegrationConfig(t1=1.0, samples=2))
-    assert calls.count("reduced") == 2
-    assert calls.count("raw") == traj.n_steps - 1
+    for samples in (201, 2):  # every step ends on a sample; only the last does
+        calls.update(R=0, Q=[])
+        traj = integrate_wn(sig, IntegrationConfig(t1=1.0, samples=samples))
+        assert not traj.chart_events
+        assert calls == {"R": traj.n_steps + 1, "Q": [(samples,)]}
+    assert traj.n_steps > 1
+    # a switch forms Q once, for the one state it freezes, and a sample on
+    # its step factorises the new chart's first state: here every step ends
+    # on a sample, so every switch does
+    calls.update(R=0, Q=[])
+    traj = integrate_wn(_tan_hamiltonian(), IntegrationConfig(t1=6.0, samples=601))
+    switches = len(traj.chart_events)
+    assert traj.n_steps == 600 and switches == 12
+    assert calls == {"R": traj.n_steps + 1 + switches, "Q": [()] * switches + [(601,)]}
+
+
+def _tan_hamiltonian():
+    # the tangent case on the unitary route
+    return HamiltonianSignal(2, np.array([[0.0, 1j], [-1j, 0.0]]))
+
+
+def _dense_switched_run(signal, monkeypatch):
+    """A run whose every step ends on a sample, with at least one switch.
+
+    Returns the trajectory, its sample rows and rebuild, and the K_chart of
+    each frozen state.
+    """
+    kept, frozen = [], []
+    trajectory = integrate._trajectory
+    chart = _UnitaryChart if isinstance(signal, HamiltonianSignal) else _GaussChart
+    chart_rebuild = chart.rebuild
+
+    def keep(N, rows, rebuild, *args):
+        kept.append((rows, rebuild))
+        return trajectory(N, rows, rebuild, *args)
+
+    def freeze(self, y, f, K=True):
+        out = chart_rebuild(self, y, f, K)
+        if K and y.ndim == 1:  # a switch rebuilds the one state it freezes
+            frozen.append(out[0])
+        return out
+
+    monkeypatch.setattr(integrate, "_trajectory", keep)
+    monkeypatch.setattr(chart, "rebuild", freeze)
+    traj = integrate_wn(signal, IntegrationConfig(t1=1.0, samples=401))
+    assert traj.n_steps == 400 and traj.chart_events
+    assert len(frozen) == len(traj.chart_events)
+    monkeypatch.undo()
+    return traj, *kept.pop(), frozen
+
+
+@pytest.mark.parametrize("N", [3, 6])
+def test_stacked_sample_rebuild_equals_each_sample_alone(N, monkeypatch):
+    sig = random_antihermitian_signal(N, np.random.default_rng(N), sup_norm=5.0)
+    for signal in (sig, _fourier_twin(sig)):
+        traj, rows, rebuild, _ = _dense_switched_run(signal, monkeypatch)
+        for i, (t, y, h, f, chart) in enumerate(rows):
+            phase = np.exp(y[None, -1])
+            one = tuple(part[None] for part in f)
+            K, _, u = rebuild(y[None], one, np.array([chart]), phase)
+            assert traj.t[i] == t and traj.chart_index[i] == chart
+            assert np.array_equal(traj.phase_factor[i], phase[0])
+            assert traj.K[i].tobytes() == K[0].tobytes()
+            assert traj.u[i].tobytes() == u[0].tobytes()
+
+
+@pytest.mark.parametrize("route", ["unitary", "general"])
+def test_switch_on_a_sample_records_the_new_chart(route, monkeypatch):
+    # every step ends on a sample, so every switch does: that sample records
+    # the next chart's first state, u = 0, and K = phase K_base, with K_base
+    # the product of the frozen factors
+    sig = random_antihermitian_signal(3, np.random.default_rng(3), sup_norm=5.0)
+    if route == "general":
+        sig = _fourier_twin(sig)
+    traj, _, _, frozen = _dense_switched_run(sig, monkeypatch)
+    base = np.eye(3, dtype=complex)
+    for c, (event, K_chart) in enumerate(zip(traj.chart_events, frozen), start=1):
+        (j,) = np.flatnonzero(traj.t == event.time)
+        base = K_chart @ base
+        assert traj.chart_index[j - 1] == c - 1 and traj.chart_index[j] == c
+        assert not traj.u[j].any()
+        assert np.array_equal(traj.K[j], traj.phase_factor[j] * base)
 
 
 def test_unitary_route_reports_from_all_coordinates():
