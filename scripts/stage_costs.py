@@ -5,17 +5,19 @@ The step table gives µs per call for N = 2..12.
 
 For each N the signal is the seeded baseline one,
 ``random_antihermitian_signal(N, default_rng(N), sup_norm=3)``, and the
-chart state a seeded reduced state with |u| <= 0.3.  Four layers are timed:
+chart state a seeded reduced state with |u| <= 0.3.  These layers are timed:
 
 - *signal*: one step's signal evaluation, the five new DP5 stage times in
   one ``matrices`` call, with the trace removed (what ``integrate_wn`` asks
   for per attempted step);
 - *stage*: one stage's right-hand side as the stepper takes it, on the
-  unitary route (``_UnitaryChart.rates``) and on the general route
-  (``_GaussChart.rates``, the block peel ``rhs``), written into its row of
-  the stage buffer with the trace rate;
+  unitary route (the stage that ``_UnitaryChart.stage`` builds once per
+  run) and on the general route (``_GaussChart.stage``, the block peel),
+  written into its row of the stage buffer with the trace rate;
 - *abs_u*: the max-|u| test of the unitary route, ``_UnitaryChart.factor``
   (R from a raw QR, no Q) and ``abs_u``;
+- *error norm*: one step's error norm on a unitary-route state, ``np.abs``
+  of the new state and ``_error_norm`` (|y| of the old state is carried);
 - *step*: a whole ``integrate_wn`` run on [0, 1] with 2 samples, unitary
   route, divided by its accepted steps (trust-region checks, switches and
   the two samples included);
@@ -50,7 +52,13 @@ from weinorman import (
     integrate_wn,
     random_antihermitian_signal,
 )
-from weinorman.integrate import _DP54, _GaussChart, _traceless_matrices, _UnitaryChart
+from weinorman.integrate import (
+    _DP54,
+    _error_norm,
+    _GaussChart,
+    _traceless_matrices,
+    _UnitaryChart,
+)
 
 NS = (2, 3, 4, 6, 8, 12)
 DERIVE_NS = tuple(range(2, 9))
@@ -81,14 +89,16 @@ def costs(N: int) -> dict:
     M0, rate = M0s[0], rates[0]
 
     unitary, general = _UnitaryChart(alg), _GaussChart(alg)
+    stage_unitary, stage_general = unitary.stage(), general.stage()
     y = _reduced_state(alg, rng)
     u = 0.3 * (rng.standard_normal(alg.n) + 1j * rng.standard_normal(alg.n))
     out_unitary = np.empty(unitary.size + 1, dtype=complex)
     out_general = np.empty(alg.n + 1, dtype=complex)
-
-    def stage(chart, y, out):
-        chart.rates(M0, y, out)
-        out[-1] = rate
+    # a step's error estimate on the unitary state with its phase slot
+    y_old = np.append(y, 0.1j)
+    y_new = y_old + 1e-3
+    err = 1e-11 * (rng.standard_normal(y_old.size) + 1j * rng.standard_normal(y_old.size))
+    abs_old = np.abs(y_old)
 
     def step_us(samples: int) -> tuple[float, int, int]:
         """µs per accepted step of a run on [0, 1]; its accepted and rejected steps."""
@@ -100,9 +110,12 @@ def costs(N: int) -> dict:
     step, steps, rejected = step_us(2)
     return {
         "signal": _median_us(lambda: _traceless_matrices(sig, ts), 2000),
-        "stage_unitary": _median_us(lambda: stage(unitary, y, out_unitary), 2000),
-        "stage_general": _median_us(lambda: stage(general, u, out_general), 1000),
+        "stage_unitary": _median_us(lambda: stage_unitary(M0, rate, y, out_unitary), 2000),
+        "stage_general": _median_us(lambda: stage_general(M0, rate, u, out_general), 1000),
         "abs_u": _median_us(lambda: unitary.abs_u(y, unitary.factor(y)), 2000),
+        "error_norm": _median_us(
+            lambda: _error_norm(err, abs_old, np.abs(y_new), 1e-10, 1e-10), 5000
+        ),
         "step": step,
         "steps": steps,
         "rejected": rejected,
@@ -148,14 +161,15 @@ def main(argv=None) -> int:
         "runs only by the median of several.",
         "",
         "| N | signal, 5 stage times | unitary stage | general stage | abs_u "
-        "| step | accepted / rejected | dense step |",
-        "|---|---|---|---|---|---|---|---|",
+        "| error norm | step | accepted / rejected | dense step |",
+        "|---|---|---|---|---|---|---|---|---|",
     ]
     for N in NS:
         c = costs(N)
         lines.append(
             f"| {N} | {c['signal']:.1f} | {c['stage_unitary']:.1f} "
-            f"| {c['stage_general']:.1f} | {c['abs_u']:.1f} | {c['step']:.0f} "
+            f"| {c['stage_general']:.1f} | {c['abs_u']:.1f} | {c['error_norm']:.1f} "
+            f"| {c['step']:.0f} "
             f"| {c['steps']} / {c['rejected']} | {c['dense_step']:.0f} |"
         )
     lines += [

@@ -359,10 +359,10 @@ def riccati_rhs(
     T = U^-1 M U.  The upper rates come from U' = U triu(T), which is closed
     in U: the paper's hierarchy of matrix Riccati equations, one per column
     block.  The Cartan rates are the partial sums of diag(T), a quadrature
-    once U is known.  :func:`rhs` and the unitary route of ``integrate_wn``
-    both read these two slices from here.  T comes from the LAPACK gufunc
-    behind ``np.linalg.solve``: a unit triangular U is never singular, and a
-    non-finite one gives a non-finite T, not an error.
+    once U is known.  :func:`rhs` and the stages of both charts of
+    ``integrate_wn`` read these two slices from here.  T comes from the
+    LAPACK gufunc behind ``np.linalg.solve``: a unit triangular U is never
+    singular, and a non-finite one gives a non-finite T, not an error.
     """
     maps = alg.basis.maps
     T = _solve(U, M @ U)
@@ -390,15 +390,23 @@ def rhs(alg: Algebra, u: np.ndarray, M: np.ndarray) -> np.ndarray:
             f"expected a {alg.n}-vector u and a {N}x{N} matrix M, got "
             f"u{u.shape} and M{np.shape(M)}"
         )
-    maps = alg.basis.maps
-    U, w, L = maps.gauss_factors(u)
     up = np.empty(alg.n, dtype=complex)
-    T, up[maps.upper], up[maps.cartan] = riccati_rhs(alg, U, M)
+    _peel(alg, *alg.basis.maps.gauss_factors(u), M, up)
+    return up
+
+
+def _peel(
+    alg: Algebra, U: np.ndarray, w: np.ndarray, L: np.ndarray, M: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """:func:`rhs` from the Gauss factors (U, w, L) of u, unchecked: u' into
+    ``out[:n]``.  The general chart's stage calls it with its own buffers."""
+    maps = alg.basis.maps
+    T, out[maps.upper], out[maps.cartan] = riccati_rhs(alg, U, M)
     # D^-1 X D scales X_ij by exp(w_j - w_i); the exponent is masked too, so
     # that an overflow above the diagonal cannot turn into 0 * inf = nan
     scale = maps.below * np.exp((w - w[:, None]) * maps.below)
-    up[maps.lower] = ((T * scale) @ L).take(maps.lower_at)
-    return up
+    out[maps.lower] = ((T * scale) @ L).take(maps.lower_at)
 
 
 def assemble_A_gauss(alg: Algebra, u: np.ndarray) -> np.ndarray:

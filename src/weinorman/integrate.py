@@ -12,7 +12,8 @@ system turns ill-conditioned), the accumulated K is frozen as a right
 factor and u resets to zero inside the same step loop.  Propagators compose,
 K(t, t0) = K(t, t_s) K(t_s, t0), so the fresh chart solves K_c' = M_0 K_c
 from K_c(t_s) = I with the driving matrix unchanged: no factor is inverted,
-and after a switch u holds the coordinates of K(t) K(t_s)^-1.
+and after a switch u holds the coordinates of K(t) K(t_s)^-1.  A switch on
+u-growth keeps u on its report, which computes cond(A) when first read.
 
 For a :class:`HamiltonianSignal` (M = -iH with H Hermitian, so K is
 unitary) the state shrinks to the paper's reduction: the upper coordinates,
@@ -21,7 +22,10 @@ and the imaginary parts of the Cartan ones, a quadrature.  K is rebuilt from
 a QR factorisation, unitary to round-off by construction, and the remaining
 coordinates follow algebraically (see `_UnitaryChart`).  Every other signal
 integrates all n coordinates.  Both share the stepper, the trust region on
-all n coordinates, chart switching and sampling.  The per-stage solve and
+all n coordinates, chart switching and sampling.  Each chart builds its
+stage once per run, with its factor buffers and index maps bound, and calls
+the unchecked cores in `hierarchy` (`riccati_rhs`, and ``_peel`` behind the
+checked `rhs`).  The per-stage solve and
 the per-step inverse and QR call numpy's LAPACK gufuncs
 (``numpy.linalg._umath_linalg``) directly, without the public functions'
 per-call checks; they are private numpy API, and
@@ -39,7 +43,8 @@ last stage is the next step's first and a step costs 6 right-hand sides),
 and classic RK4 with a fixed step.  M(t) does not depend on the state, so
 each attempted step asks the signal once for all its new stage times (5 for
 DP5(4), 2 for RK4) and the factorized route removes the trace from that
-batch at once; the stages of a run share one buffer.  Steps are clamped to
+batch at once; the stages of a run share one buffer, and |y| of an
+accepted state is carried into the next error norm.  Steps are clamped to
 land exactly on sample times, so trajectories on the same grid compare
 sample-by-sample without interpolation.  The loop counts its own steps and
 hands each accepted state to one hook, saying whether it is a sample; the
@@ -52,7 +57,9 @@ non-finite stage or state, which rejects the step or raises.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 # LAPACK gufuncs behind np.linalg.inv and np.linalg.qr, called without the
@@ -62,10 +69,11 @@ from numpy.linalg._umath_linalg import qr_r_raw as _qr_r_raw
 from numpy.linalg._umath_linalg import qr_reduced as _qr_reduced
 
 from .adjoint import Algebra, algebra
-# assemble_A_numeric is the oracle and is never called here; the name stays
-# importable so that tests and the benchmark tracer can patch it and see no
-# calls.
+# assemble_A_numeric is the oracle and rhs the checked form of the general
+# chart's stage; neither is called here, and the names stay importable so that
+# tests and the benchmark tracer can patch them and see no calls.
 from .hierarchy import (
+    _peel,
     assemble_A_gauss,
     assemble_A_numeric,
     condition_estimate,
@@ -92,16 +100,43 @@ class StepSizeUnderflow(RuntimeError):
     """The controller drove the step below the resolvable scale."""
 
 
+class _Deferred:
+    """A dataclass field given as a value or as a function that computes it.
+
+    The function runs the first time the field is read, and its value
+    replaces it.  The field has no default.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)  # tells dataclass: no default
+        value = obj.__dict__[self.name]
+        if callable(value):
+            value = obj.__dict__[self.name] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class SingularityReport:
-    """Where and why a chart was abandoned (and, on re-anchoring, switched)."""
+    """Where and why a chart was abandoned (and, on re-anchoring, switched).
+
+    ``condition`` may be given as a function of no arguments: ``integrate_wn``
+    does so for a chart left on u-growth, so that cond(A) is computed when
+    the report is first read, not during the run.
+    """
 
     time: float
     trigger: str                 # "u-growth" or "condition"
     value: float                 # |u| or condition estimate that fired
     generator_index: int | None  # worst coordinate (1-based)
     stage: int | None            # its stage (1-based, elimination order)
-    condition: float             # cond_2(A(u)) at detection
+    condition: float = _Deferred()  # cond_2(A(u)) at detection
 
     def describe(self) -> str:
         where = (
@@ -137,7 +172,7 @@ class IntegrationConfig:
     ``sample_times`` pins them explicitly.  ``u_threshold`` and
     ``cond_threshold`` are the chart trust-region bounds: a chart is left
     once some |u_i| exceeds ``u_threshold`` (by default SMALL_CHART_U, so
-    cond(A) is estimated only at a switch, for its report), or once
+    cond(A) is computed only for a switch's report, when it is read), or once
     cond(A(u)) exceeds ``cond_threshold`` while max |u| lies in
     (SMALL_CHART_U, u_threshold], which only a raised ``u_threshold``
     opens.  ``reanchor`` selects between transparent chart switching and
@@ -223,10 +258,13 @@ def reconstruct_K(alg: Algebra, u: np.ndarray) -> np.ndarray:
 # charts: what the state holds, and the coordinates and K it stands for
 # ---------------------------------------------------------------------------
 #
-# Each chart has ``factor(y)``, the factorisation of a state that the max-|u|
-# test needs (a tuple of arrays), ``abs_u(y, f)``, and ``rebuild(y, f, K)``,
-# which gives (K_chart, u) for one state or for stacks of states and their
-# factors along leading axes; K_chart is None unless ``K``.
+# Each chart has ``stage()``, which builds a run's stage function
+# ``stage(M0, rate, y, out)`` with its buffers bound, ``factor(y)``, the
+# factorisation of a state that the max-|u| test needs (a tuple of arrays),
+# ``abs_u(y, f)``, and ``rebuild(y, f, K)``, which gives (K_chart, u) for one
+# state or for stacks of states and their factors along leading axes; K_chart
+# is None unless ``K``.  A stage writes the chart's rates and, in the last
+# slot, the trace rate.
 
 
 class _GaussChart:
@@ -236,8 +274,21 @@ class _GaussChart:
         self.alg = alg
         self.size = alg.n
 
-    def rates(self, M0: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
-        out[: self.size] = rhs(self.alg, y[: self.size], M0)
+    def stage(self):
+        """``rhs`` on the state's Gauss factors, kept in buffers of the run."""
+        alg, maps = self.alg, self.alg.basis.maps
+        U, L = maps.eye.copy(), maps.eye.copy()
+        upper, upper_at = maps.upper, maps.upper_at
+        lower, lower_at = maps.lower, maps.lower_at
+        cartan_diagonal = maps.cartan_diagonal
+
+        def stage(M0: np.ndarray, rate: complex, y: np.ndarray, out: np.ndarray) -> None:
+            U.put(upper_at, y[upper])
+            L.put(lower_at, y[lower])
+            _peel(alg, U, cartan_diagonal(y), L, M0, out)
+            out[-1] = rate
+
+        return stage
 
     def factor(self, y: np.ndarray) -> tuple:
         """Nothing: u is read off the state itself."""
@@ -271,10 +322,19 @@ class _UnitaryChart:
         self.maps = alg.basis.maps
         self.size = self.maps.cartan.stop  # the upper slots, then the Cartan ones
 
-    def rates(self, M0: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
-        maps = self.maps
-        _, out[maps.upper], cartan = riccati_rhs(self.alg, maps.upper_factor(y), M0)
-        out[maps.cartan] = 1j * cartan.imag
+    def stage(self):
+        """``riccati_rhs`` on the state's U, kept in a buffer of the run."""
+        alg, maps = self.alg, self.maps
+        U = maps.eye.copy()
+        upper, upper_at, cartan = maps.upper, maps.upper_at, maps.cartan
+
+        def stage(M0: np.ndarray, rate: complex, y: np.ndarray, out: np.ndarray) -> None:
+            U.put(upper_at, y[upper])
+            _, out[upper], diagonal = riccati_rhs(alg, U, M0)
+            out[cartan] = 1j * diagonal.imag
+            out[-1] = rate
+
+        return stage
 
     def factor(self, y: np.ndarray) -> tuple:
         """(R^T, tau): LAPACK's raw QR of U^-H = Q R for the state y.
@@ -326,7 +386,7 @@ class _Tableau:
     so it is the next step's first stage.  ``new_c`` are the distinct
     fractions past the step's start, which must end at 1 (the stepper takes
     that time as the step's end point), and ``row[i]`` is stage i's place in
-    [start, *new_c].
+    [start, *new_c].  The weights are stored complex, as the stages are.
     """
 
     c: np.ndarray
@@ -341,6 +401,11 @@ class _Tableau:
         rows = tuple(new_c.index(ci) + 1 if ci else 0 for ci in self.c)
         object.__setattr__(self, "new_c", np.array(new_c))
         object.__setattr__(self, "row", rows)
+        # a float row times the complex stages is cast on every product
+        object.__setattr__(self, "A", tuple(a.astype(complex) for a in self.A))
+        object.__setattr__(self, "b", self.b.astype(complex))
+        err = None if self.err is None else self.err.astype(complex)
+        object.__setattr__(self, "err", err)
 
 
 _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
@@ -376,9 +441,10 @@ _RK4 = _Tableau(
 _MIN_STEP_REL = 1e-14
 
 
-def _error_norm(err, y_old, y_new, atol, rtol) -> float:
-    scale = atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))
-    return float(np.sqrt(np.mean((np.abs(err) / scale) ** 2)))
+def _error_norm(err, abs_old, abs_new, atol, rtol) -> float:
+    """RMS of |err| / (atol + rtol max(|y_old|, |y_new|)), from |y_old| and |y_new|."""
+    ratio = np.abs(err) / (atol + rtol * np.maximum(abs_old, abs_new))
+    return math.sqrt((ratio**2).sum() / ratio.size)
 
 
 def _matrices(signal: CoefficientSignal, ts: np.ndarray):
@@ -390,7 +456,7 @@ def _matrices(signal: CoefficientSignal, ts: np.ndarray):
 def _traceless_matrices(signal: CoefficientSignal, ts: np.ndarray):
     """(M_0(ts), tr M(ts) / N) with M_0 = M - (tr M / N) I, which drives a chart."""
     M, rates = _matrices(signal, ts)
-    return M - rates[:, None, None] * np.eye(signal.N, dtype=complex), rates
+    return M - rates[:, None, None] * algebra(signal.N).basis.maps.eye, rates
 
 
 def _drive(stage, evaluate, t, y, targets, cfg, after):
@@ -402,7 +468,8 @@ def _drive(stage, evaluate, t, y, targets, cfg, after):
     attempted step asks once for all its new stage times; the step's start
     reuses the previous step's end.  The stages live in one buffer per run.
     DP5(4) is first-same-as-last: an accepted step's last stage is the next
-    step's first, so a step costs 6 stages and 5 times.
+    step's first, so a step costs 6 stages and 5 times; likewise |y| of the
+    accepted state is the next error norm's.
 
     ``after(t, y, h_last, on_target)`` is called after every accepted step,
     with ``on_target`` true exactly when the step ends on its target, and as
@@ -429,6 +496,7 @@ def _drive(stage, evaluate, t, y, targets, cfg, after):
     have_k1 = False  # k[0] holds the stage at (t, y); kept across rejections
     M, rate = evaluate(np.array([t]))
     start = (M[0], rate[0])  # the signal at the step's start
+    abs_y = np.abs(y)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for target in targets:
@@ -458,7 +526,8 @@ def _drive(stage, evaluate, t, y, targets, cfg, after):
                         errnorm = np.inf
                     else:
                         err = h_try * (tab.err @ k)
-                        errnorm = _error_norm(err, y, y_new, cfg.atol, cfg.rtol)
+                        abs_new = np.abs(y_new)
+                        errnorm = _error_norm(err, abs_y, abs_new, cfg.atol, cfg.rtol)
                     if not errnorm <= 1.0:
                         rejected += 1
                         shrink = 0.25 if not np.isfinite(errnorm) else max(
@@ -470,6 +539,7 @@ def _drive(stage, evaluate, t, y, targets, cfg, after):
                         5.0, max(0.2, 0.9 * errnorm ** -0.2)
                     )
                     h = min(h_try * factor, cfg.max_step)
+                    abs_y = abs_new
                 elif not np.isfinite(y_new).all():
                     raise RuntimeError(
                         f"RK4 step from t = {t:.9f} gave a non-finite state; "
@@ -488,10 +558,10 @@ def _drive(stage, evaluate, t, y, targets, cfg, after):
                 if t != target:
                     fresh = after(t, y, h_last, False)
                     if fresh is not y:
-                        y, h, have_k1 = fresh, h_start, False
+                        y, abs_y, h, have_k1 = fresh, np.abs(fresh), h_start, False
             fresh = after(target, y, h_last, True)
             if fresh is not y:
-                y, h, have_k1 = fresh, h_start, False
+                y, abs_y, h, have_k1 = fresh, np.abs(fresh), h_start, False
     return accepted, rejected
 
 
@@ -581,6 +651,11 @@ def _trajectory(N, rows, rebuild, method, counts, seed, events=()) -> Trajectory
     )
 
 
+def _condition(alg: Algebra, u: np.ndarray) -> float:
+    """cond(A(u)), the monitor's estimate."""
+    return condition_estimate(assemble_A_gauss(alg, u))
+
+
 def _sample_grid(signal: CoefficientSignal, config: IntegrationConfig) -> list[float]:
     """Validate ``config`` against the signal's domain; the sample times."""
     config.validate()
@@ -624,10 +699,6 @@ def integrate_wn(
         K_engine = K_chart @ np.array(bases)[index]
         return phase[:, None, None] * K_engine, K_engine, u
 
-    def stage(M0: np.ndarray, rate: complex, y: np.ndarray, out: np.ndarray) -> None:
-        chart.rates(M0, y, out)
-        out[-1] = rate
-
     def after(t: float, y: np.ndarray, h_last: float, on_target: bool) -> np.ndarray:
         """The trust region (u-growth, then cond(A) once |u| > SMALL_CHART_U),
         then the sample on a target.  A breakdown freezes K into a new base
@@ -640,7 +711,9 @@ def integrate_wn(
         grown = absu[worst] > config.u_threshold
         if grown or absu[worst] > SMALL_CHART_U:
             u = chart.rebuild(y, f, K=False)[1]
-            cond = condition_estimate(assemble_A_gauss(alg, u))
+            # a grown chart is left whatever cond(A) reads: its report
+            # computes it when read
+            cond = partial(_condition, alg, u) if grown else _condition(alg, u)
             if grown or cond > config.cond_threshold:
                 report = SingularityReport(
                     time=float(t),
@@ -668,7 +741,7 @@ def integrate_wn(
         return y
 
     y = np.zeros(chart.size + 1, dtype=complex)
-    counts = _drive(stage, lambda ts: _traceless_matrices(signal, ts),
+    counts = _drive(chart.stage(), lambda ts: _traceless_matrices(signal, ts),
                     float(config.t0), y, grid, config, after)
     return _trajectory(alg.N, rows, rebuild, config.method, counts, seed, events)
 
@@ -829,6 +902,8 @@ def trajectory_to_csv(traj: Trajectory) -> str:
 
 def trajectory_from_csv(text: str) -> Trajectory:
     lines = [ln for ln in text.strip().splitlines() if ln]
+    if len(lines) < 2:
+        raise ValueError("trajectory CSV holds no samples")
     header = lines[0].split(",")
     k_cols = [c for c in header if c.startswith("K_") and c.endswith("_re")]
     N = int(round(np.sqrt(len(k_cols))))
@@ -880,7 +955,9 @@ def trajectory_to_json(traj: Trajectory) -> str:
     """One line per top-level key, each value written by the C encoder.
 
     ``json.dumps(..., indent=...)`` falls back to the pure-Python encoder;
-    the layout differs from an indented file, the values do not.
+    the layout differs from an indented file, the values do not.  The
+    values are fresh lists built here, which hold no cycle, so the encoder
+    skips its cycle check (a dict entry per list).
     """
     obj = {
         "schema": TRAJECTORY_SCHEMA,
@@ -901,7 +978,10 @@ def trajectory_to_json(traj: Trajectory) -> str:
         "step_size": np.asarray(traj.step_size, dtype=float).tolist(),
         "chart_events": [asdict(ev) for ev in traj.chart_events],
     }
-    lines = [f"{json.dumps(key)}: {json.dumps(value)}" for key, value in obj.items()]
+    lines = [
+        f"{json.dumps(key)}: {json.dumps(value, check_circular=False)}"
+        for key, value in obj.items()
+    ]
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
@@ -910,12 +990,18 @@ def trajectory_from_json(text: str) -> Trajectory:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict) or obj.get("schema") not in _READABLE_SCHEMAS:
+    schema = obj.get("schema") if isinstance(obj, dict) else None
+    if schema not in _READABLE_SCHEMAS:
         raise ValueError(
-            f"unsupported schema {obj.get('schema')!r} "
-            f"(expected {TRAJECTORY_SCHEMA!r})"
+            f"unsupported schema {schema!r} (expected {TRAJECTORY_SCHEMA!r})"
         )
+    try:
+        return _trajectory_from_obj(obj)
+    except KeyError as exc:
+        raise ValueError(f"trajectory JSON lacks the key {exc}") from exc
 
+
+def _trajectory_from_obj(obj: dict) -> Trajectory:
     def pairs(rows):
         return np.array([complex(re, im) for re, im in rows])
 

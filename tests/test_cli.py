@@ -360,6 +360,28 @@ def test_compare_mismatch(tan_ini, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("list.json", "[1, 2]", "unsupported schema None"),
+        ("bare.json", '{"schema": "wn-trajectory/2"}', "lacks the key 't'"),
+        ("empty.csv", "", "holds no samples"),
+        ("header.csv", "t,K_1_1_re,K_1_1_im\n", "holds no samples"),
+    ],
+)
+def test_compare_rejects_a_malformed_file(name, text, message, tan_ini, tmp_path, capsys):
+    good = tmp_path / "t.json"
+    assert main(["integrate", "--config", tan_ini, "--out", str(good)]) == EXIT_OK
+    bad = tmp_path / name
+    bad.write_text(text)
+    capsys.readouterr()
+    for pair in ([str(bad), str(good)], [str(good), str(bad)]):
+        assert main(["compare", *pair]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert err.startswith("compare: ") and message in err
+        assert "Traceback" not in out + err
+
+
 def test_unknown_subcommand_exits_nonzero():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -23,7 +23,7 @@ from weinorman import (
     reconstruct_K,
 )
 from weinorman import hierarchy, integrate
-from weinorman.hierarchy import assemble_A_gauss, rhs
+from weinorman.hierarchy import assemble_A_gauss, rhs, riccati_rhs
 from weinorman.integrate import (
     _drive,
     _GaussChart,
@@ -264,19 +264,43 @@ def test_default_small_charts_through_the_pole():
 
 def test_default_estimates_condition_only_at_switches(monkeypatch):
     # at the default u_threshold the monitor's cond(A) gate is never open
-    # without a switch, so the SVD runs once per chart event, for its report
-    calls = []
+    # without a switch, and a switch's report computes cond(A) when it is
+    # first read: no SVD during the run, one per event on the first read,
+    # from the coordinates the chart held at the switch
+    calls, switched_at = [], []
+    rebuild = _UnitaryChart.rebuild
 
     def counting(A):
         calls.append(A.shape)
         return condition_estimate(A)
 
+    def keep_u(self, y, f, K=True):
+        out = rebuild(self, y, f, K)
+        if not K:  # the u of a breakdown check, here only at a switch
+            switched_at.append(out[1].copy())
+        return out
+
     monkeypatch.setattr("weinorman.integrate.condition_estimate", counting)
+    monkeypatch.setattr(_UnitaryChart, "rebuild", keep_u)
+    alg = algebra(6)
     sig = random_antihermitian_signal(6, np.random.default_rng(6), sup_norm=5.0)
-    traj = integrate_wn(sig, IntegrationConfig(t1=1.0, samples=11))
-    assert traj.chart_events
-    assert len(calls) == len(traj.chart_events)
-    assert all(ev.condition >= 1 for ev in traj.chart_events)
+    for first_read in ("describe", "to_json"):
+        switched_at.clear()
+        traj = integrate_wn(sig, IntegrationConfig(t1=1.0, samples=11))
+        events = traj.chart_events
+        assert len(events) == len(switched_at) >= 2
+        assert calls == []
+        if first_read == "describe":
+            [ev.describe() for ev in events]
+        else:
+            traj.to_json()
+        assert calls == [(alg.n, alg.n)] * len(events)
+        # a second read, of either kind, computes nothing
+        [ev.describe() for ev in events], traj.to_json()
+        assert calls == [(alg.n, alg.n)] * len(events)
+        calls.clear()
+        for ev, u in zip(events, switched_at):
+            assert ev.condition == condition_estimate(assemble_A_gauss(alg, u)) >= 1
 
 
 def _count_stage_times(monkeypatch) -> list:
@@ -318,6 +342,37 @@ def test_oracle_keeps_its_step_sequence(monkeypatch):
     # the accepted and rejected counts of the stepper that re-evaluated the
     # first stage of every step
     assert (traj.n_steps, traj.n_rejected) == (369, 1)
+
+
+def test_error_norm_is_the_rms_formula_bit_for_bit():
+    # the stepper hands _error_norm |y_old| and |y_new| and it sums rather
+    # than calling np.mean: the same bits as the formula on draws with zero
+    # entries, all-zero errors and non-finite entries, and a non-finite norm
+    # never passes the acceptance test
+    rng = np.random.default_rng(27)
+    for size in (1, 4, 9, 16, 36, 144, 200):
+        for draw in range(8):
+            shape = (3, size)
+            z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            z *= 10.0 ** rng.integers(-14, 3, shape)
+            z[rng.random(shape) < 0.2] = 0
+            if draw == 1:
+                z[0] = 0
+            elif draw >= 2:
+                bad = (np.nan, np.inf, -np.inf, complex(0, np.inf), np.nan, np.inf)[draw - 2]
+                z[draw % 3, rng.integers(size)] = bad
+            err, y_old, y_new = z
+            atol, rtol = 10.0 ** rng.integers(-12, -5, 2)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                scale = atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))
+                want = float(np.sqrt(np.mean((np.abs(err) / scale) ** 2)))
+                got = integrate._error_norm(err, np.abs(y_old), np.abs(y_new), atol, rtol)
+            assert type(got) is float
+            assert got == want or (np.isnan(got) and np.isnan(want))
+            if draw == 1:
+                assert got == 0.0
+            if not np.isfinite(want):
+                assert not got <= 1.0
 
 
 def _drive_exp(f):
@@ -507,26 +562,44 @@ def _reduced_state(alg, rng, size=0.5):
 
 
 def test_reduced_rhs_is_the_upper_and_cartan_part_of_rhs():
-    # bit for bit, whatever the Cartan and lower coordinates hold
+    # each chart's stage, built once and called on a run of states, writes
+    # bit for bit what the checked public functions give, the trace rate in
+    # the last slot: the unitary chart riccati_rhs on the state's U (the
+    # upper and Cartan part of rhs, whatever the Cartan and lower coordinates
+    # hold), the general chart rhs itself; a NaN in an upper, then in a lower
+    # coordinate shows where it reaches, and the later draws that the
+    # buffers keep no trace of it
     rng = np.random.default_rng(21)
     for N in range(2, 9):
         alg = algebra(N)
         maps = alg.basis.maps
-        chart = _UnitaryChart(alg)
-        for _ in range(5):
+        charts = _UnitaryChart(alg), _GaussChart(alg)
+        stages = [chart.stage() for chart in charts]
+        for draw in range(6):
             u = 0.7 * (rng.standard_normal(alg.n) + 1j * rng.standard_normal(alg.n))
+            if draw in (1, 2):
+                slots = np.arange(alg.n)[maps.upper if draw == 1 else maps.lower]
+                u[rng.choice(slots)] = np.nan
             H = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
             M = -0.5j * (H + H.conj().T)
             M -= np.trace(M) / N * np.eye(N)
+            rate = complex(*rng.standard_normal(2))
             full = rhs(alg, u, M)
-            reduced = np.full(chart.size + 1, np.nan, dtype=complex)
-            chart.rates(M, u[: chart.size], reduced)
-            # the rates fill the chart's slots and leave the phase slot
-            assert np.isnan(reduced[-1])
-            reduced = reduced[:-1]
-            assert np.array_equal(reduced[maps.upper], full[maps.upper])
-            assert np.array_equal(reduced[maps.cartan].imag, full[maps.cartan].imag)
-            assert not reduced[maps.cartan].real.any()
+            _, upper, cartan = riccati_rhs(alg, maps.upper_factor(u), M)
+            want = (
+                np.concatenate([upper, 1j * cartan.imag, [rate]]),
+                np.append(full, rate),
+            )
+            assert np.array_equal(want[0][maps.upper], full[maps.upper], equal_nan=True)
+            assert np.array_equal(
+                want[0][maps.cartan].imag, full[maps.cartan].imag, equal_nan=True
+            )
+            assert np.isfinite(full).all() == (draw not in (1, 2))
+            for chart, stage, w in zip(charts, stages, want):
+                y = np.append(u[: chart.size], 0.25j)  # the phase slot is not read
+                out = np.full(chart.size + 1, np.nan, dtype=complex)
+                stage(M, rate, y, out)
+                assert np.array_equal(out, w, equal_nan=True)
 
 
 def test_unitary_chart_rebuilds_a_unitary_K():
@@ -637,7 +710,9 @@ def test_unitary_route_takes_neither_rhs_nor_reconstruct_K(monkeypatch):
     twin = _fourier_twin(sig)
     cfg = IntegrationConfig(t1=1.0, samples=5)
     general = integrate_wn(twin, cfg)
+    # the general chart's stage runs rhs's unchecked core, _peel
     monkeypatch.setattr("weinorman.integrate.rhs", forbidden)
+    monkeypatch.setattr("weinorman.integrate._peel", forbidden)
     monkeypatch.setattr("weinorman.integrate.reconstruct_K", forbidden)
     assert compare(integrate_wn(sig, cfg), general).max_frobenius < 1e-8
     with pytest.raises(AssertionError, match="general-route"):
