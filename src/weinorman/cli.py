@@ -303,15 +303,25 @@ def _ini_rows(section, prefix: str) -> list:
     return [[p for p in raw.split(",") if p.strip()] for _, raw in pairs]
 
 
+def _read_input(path: str, what: str) -> tuple[str, bool]:
+    """The text of a config or trajectory file, and whether it is JSON: by a
+    ``.json`` suffix or a leading ``{``."""
+    p = Path(path)
+    if not p.exists():
+        raise ValueError(f"{what} file not found: {path}")
+    try:
+        text = p.read_text(encoding="utf-8")
+    except OSError as exc:  # a directory, say
+        raise ValueError(f"cannot read {what} file: {exc}") from exc
+    return text, p.suffix.lower() == ".json" or text.lstrip().startswith("{")
+
+
 def load_run_config(
     path: str,
 ) -> tuple[int, CoefficientSignal, IntegrationConfig, int | None]:
     """Read a config file; returns (N, signal, integration config, seed)."""
-    p = Path(path)
-    if not p.exists():
-        raise ValueError(f"config file not found: {path}")
-    text = p.read_text(encoding="utf-8")
-    if p.suffix.lower() == ".json" or text.lstrip().startswith("{"):
+    text, is_json = _read_input(path, "config")
+    if is_json:
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -408,14 +418,12 @@ def cmd_integrate(args) -> int:
         lines.append(f"oracle: {rep.describe()}")
     text = traj.to_csv() if fmt == "csv" else traj.to_json()
     try:
-        if args.out:
-            Path(args.out).write_text(text, encoding="utf-8")
-            lines.append(f"wrote {args.out}")
-        else:
-            sys.stdout.write(text)
+        _write_or_print(text, args.out)
     except OSError as exc:
         print(f"integrate: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    if args.out:
+        lines.append(f"wrote {args.out}")
     print("\n".join(lines), file=sys.stderr if not args.out else sys.stdout)
     return EXIT_OK
 
@@ -460,13 +468,8 @@ def cmd_verify(args) -> int:
 
 
 def _load_trajectory(path: str) -> Trajectory:
-    p = Path(path)
-    if not p.exists():
-        raise ValueError(f"trajectory file not found: {path}")
-    text = p.read_text(encoding="utf-8")
-    if p.suffix.lower() == ".json" or text.lstrip().startswith("{"):
-        return Trajectory.from_json(text)
-    return Trajectory.from_csv(text)
+    text, is_json = _read_input(path, "trajectory")
+    return Trajectory.from_json(text) if is_json else Trajectory.from_csv(text)
 
 
 def cmd_compare(args) -> int:

@@ -597,16 +597,24 @@ def _json_text(obj, depth: int = 0) -> str:
 
 
 def parse_hierarchy_json(text: str) -> HierarchySchedule:
-    """Inverse of ``emit(..., "json")``; validates the schema tag."""
+    """Inverse of ``emit(..., "json")``; validates the schema tag.  Any file
+    it cannot read raises ValueError."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict) or obj.get("schema") != JSON_SCHEMA:
-        raise ValueError(
-            f"unsupported schema {obj.get('schema')!r} "
-            f"(expected {JSON_SCHEMA!r})"
-        )
+    schema = obj.get("schema") if isinstance(obj, dict) else None
+    if schema != JSON_SCHEMA:
+        raise ValueError(f"unsupported schema {schema!r} (expected {JSON_SCHEMA!r})")
+    try:
+        return _schedule_from_obj(obj)
+    except KeyError as exc:
+        raise ValueError(f"hierarchy JSON lacks the key {exc}") from exc
+    except (IndexError, TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed hierarchy JSON: {exc}") from exc
+
+
+def _schedule_from_obj(obj: dict) -> HierarchySchedule:
     stages: list[Stage] = []
     for s in obj["stages"]:
         unknowns = tuple(int(i) for i in s["unknowns"])

@@ -832,29 +832,27 @@ def compare(a: Trajectory, b: Trajectory) -> ComparisonReport:
     times = a.t[sel]
     if times.size == 0:
         raise ValueError("no samples of the first trajectory in the overlap")
-    diffs = []
-    scales = []
-    uni_diffs = []
-    for idx, (t, Ka) in enumerate(zip(times, a.K[sel])):
-        j = int(np.clip(np.searchsorted(b.t, t) - 1, 0, b.t.size - 2))
-        t0, t1 = b.t[j], b.t[j + 1]
-        theta = 0.0 if t1 == t0 else float((t - t0) / (t1 - t0))
-        theta = min(max(theta, 0.0), 1.0)
-        Kb = (1 - theta) * b.K[j] + theta * b.K[j + 1]
-        diffs.append(float(np.linalg.norm(Ka - Kb)))
-        scales.append(float(np.linalg.norm(Kb)))
+    # b's bracketing samples j, j + 1 and the weight of j + 1; a non-finite
+    # sample shows in the report as NaN or inf, without a warning
+    j = np.clip(np.searchsorted(b.t, times) - 1, 0, b.t.size - 2)
+    t0, t1 = b.t[j], b.t[j + 1]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        theta = np.clip(np.where(t1 == t0, 0.0, (times - t0) / (t1 - t0)), 0.0, 1.0)
+        Kb = (1 - theta[:, None, None]) * b.K[j] + theta[:, None, None] * b.K[j + 1]
+        # one norm call per matrix: the stacked norm sums in another order
+        diffs = np.array(list(map(np.linalg.norm, a.K[sel] - Kb)))
+        scales = np.array(list(map(np.linalg.norm, Kb)))
         ub = (1 - theta) * b.unitarity_defect[j] + theta * b.unitarity_defect[j + 1]
-        uni_diffs.append(abs(float(a.unitarity_defect[sel][idx]) - float(ub)))
-    diffs = np.array(diffs)
-    return ComparisonReport(
-        n_points=int(diffs.size),
-        t_lo=float(times[0]),
-        t_hi=float(times[-1]),
-        max_frobenius=float(diffs.max()),
-        max_relative=float((diffs / np.array(scales)).max()),
-        rms_frobenius=float(np.sqrt(np.mean(diffs**2))),
-        max_unitarity_diff=float(max(uni_diffs)),
-    )
+        uni_diffs = np.abs(a.unitarity_defect[sel] - ub).tolist()
+        return ComparisonReport(
+            n_points=int(diffs.size),
+            t_lo=float(times[0]),
+            t_hi=float(times[-1]),
+            max_frobenius=float(diffs.max()),
+            max_relative=float((diffs / scales).max()),
+            rms_frobenius=float(np.sqrt(np.mean(diffs**2))),
+            max_unitarity_diff=max(uni_diffs),  # Python max: a later NaN is skipped
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -865,6 +863,50 @@ TRAJECTORY_SCHEMA = "wn-trajectory/2"
 # /1 files also carried a chart-event "jump" (always 0); the reader ignores it
 _READABLE_SCHEMAS = ("wn-trajectory/1", TRAJECTORY_SCHEMA)
 
+# The JSON file after its schema tag, in order: each Trajectory field, its
+# type and its shape in terms of S = len(t) samples, N and n = N^2 - 1 (N
+# comes first, as the shapes read it).  A complex array is stored with a last
+# axis [re, im].
+_JSON_FIELDS = (
+    ("N", int, ()), ("method", str, ()), ("seed", int, ()),
+    ("n_steps", int, ()), ("n_rejected", int, ()),
+    ("t", float, ("S",)), ("u", complex, ("S", "n")), ("K", complex, ("S", "N", "N")),
+    ("phase_factor", complex, ("S",)), ("chart_index", int, ("S",)),
+    ("unitarity_defect", float, ("S",)), ("det_defect", float, ("S",)),
+    ("step_size", float, ("S",)), ("chart_events", SingularityReport, ()),
+)
+_NULLABLE = ("u", "chart_index", "seed")
+# the numpy dtype kinds of the arrays json.loads gives for each type
+_KINDS = {int: "i", float: "if", complex: "if"}
+# the JSON types of a chart event's fields, by their annotations
+_EVENT_TYPES = {"float": (int, float), "str": (str,), "int | None": (int, type(None))}
+
+
+def _pairs(a) -> np.ndarray:
+    """A complex array as floats with a last axis [re, im]."""
+    a = np.ascontiguousarray(a, dtype=complex)
+    return a.view(float).reshape(a.shape + (2,))
+
+
+def _complex(pairs) -> np.ndarray:
+    """The inverse of `_pairs`, exact: the same floats viewed as complex."""
+    return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
+
+
+def _increasing(t: np.ndarray, fmt: str) -> np.ndarray:
+    """The sample times of a file, which `compare` needs strictly increasing."""
+    if not (np.diff(t) > 0).all():
+        raise ValueError(f"trajectory {fmt}: the sample times t must increase strictly")
+    return t
+
+
+def _csv_header(N: int, n: int) -> list[str]:
+    """The CSV columns for N x N matrices and n chart coordinates (0: no u)."""
+    names = [f"u_{i}" for i in range(1, n + 1)]
+    names += [f"K_{p}_{q}" for p in range(1, N + 1) for q in range(1, N + 1)]
+    return ["t", *(f"{c}_{part}" for c in names for part in ("re", "im")),
+            "unitarity_defect", "det_defect"]
+
 
 def trajectory_to_csv(traj: Trajectory) -> str:
     """Flat sample table: t, chart u (if any), K entries, defects.
@@ -872,32 +914,13 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     The CSV holds samples only; chart events, phases and metadata live in
     the JSON format.
     """
-    N = traj.N
-    cols = ["t"]
-    n = 0 if traj.u is None else traj.u.shape[1]
-    for i in range(1, n + 1):
-        cols += [f"u_{i}_re", f"u_{i}_im"]
-    for p in range(1, N + 1):
-        for q in range(1, N + 1):
-            cols += [f"K_{p}_{q}_re", f"K_{p}_{q}_im"]
-    cols += ["unitarity_defect", "det_defect"]
-    lines = [",".join(cols)]
-    for s in range(traj.t.size):
-        row = [repr(float(traj.t[s]))]
-        for i in range(n):
-            row += [repr(float(traj.u[s, i].real)), repr(float(traj.u[s, i].imag))]
-        for p in range(N):
-            for q in range(N):
-                row += [
-                    repr(float(traj.K[s, p, q].real)),
-                    repr(float(traj.K[s, p, q].imag)),
-                ]
-        row += [
-            repr(float(traj.unitarity_defect[s])),
-            repr(float(traj.det_defect[s])),
-        ]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    S = traj.t.size
+    u = np.empty((S, 0)) if traj.u is None else _pairs(traj.u).reshape(S, -1)
+    table = np.column_stack([traj.t, u, _pairs(traj.K).reshape(S, -1),
+                             traj.unitarity_defect, traj.det_defect])
+    cells = map(repr, table.ravel().tolist())
+    rows = map(",".join, zip(*[cells] * table.shape[1]))  # a row's cells at a time
+    return "\n".join([",".join(_csv_header(traj.N, u.shape[1] // 2)), *rows]) + "\n"
 
 
 def trajectory_from_csv(text: str) -> Trajectory:
@@ -905,50 +928,23 @@ def trajectory_from_csv(text: str) -> Trajectory:
     if len(lines) < 2:
         raise ValueError("trajectory CSV holds no samples")
     header = lines[0].split(",")
-    k_cols = [c for c in header if c.startswith("K_") and c.endswith("_re")]
-    N = int(round(np.sqrt(len(k_cols))))
-    if N * N != len(k_cols):
-        raise ValueError(f"cannot infer N from {len(k_cols)} K columns")
-    u_cols = [c for c in header if c.startswith("u_") and c.endswith("_re")]
-    n = len(u_cols)
-    data = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
+    N = math.isqrt(sum(c.startswith("K_") for c in header) // 2)
+    n = N * N - 1 if "u_1_re" in header else 0
+    if not N or header != _csv_header(N, n):
+        raise ValueError(f"trajectory CSV header is not the one written for N = {N}"
+                         + (" with u" if n else ""))
+    data = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
     if data.shape[1] != len(header):
         raise ValueError("row width does not match header")
-    pos = 0
-    t = data[:, pos]
-    pos += 1
-    u = None
-    if n:
-        u = data[:, pos : pos + 2 * n : 2] + 1j * data[:, pos + 1 : pos + 2 * n : 2]
-        pos += 2 * n
-    K = (
-        data[:, pos : pos + 2 * N * N : 2]
-        + 1j * data[:, pos + 1 : pos + 2 * N * N : 2]
-    ).reshape(-1, N, N)
-    pos += 2 * N * N
-    unito = data[:, pos]
-    deto = data[:, pos + 1]
+    S = len(data)
+    t, u, K, unitarity, det = np.split(data, np.cumsum([1, 2 * n, 2 * N * N, 1]), 1)
     return Trajectory(
-        N=N,
-        t=t,
-        K=K,
-        u=u,
-        phase_factor=np.ones(t.size, dtype=complex),
-        chart_index=None,
-        unitarity_defect=unito,
-        det_defect=deto,
-        step_size=np.zeros(t.size),
-        chart_events=(),
-        method="unknown",
-        n_steps=0,
-        n_rejected=0,
+        N=N, t=_increasing(t[:, 0], "CSV"), K=_complex(K.reshape(S, N, N, 2)),
+        u=_complex(u.reshape(S, n, 2)) if n else None,
+        phase_factor=np.ones(S, dtype=complex), chart_index=None,
+        unitarity_defect=unitarity[:, 0], det_defect=det[:, 0], step_size=np.zeros(S),
+        chart_events=(), method="unknown", n_steps=0, n_rejected=0,
     )
-
-
-def _pairs(a: np.ndarray) -> list:
-    """Complex array as nested lists ending in [re, im] pairs."""
-    a = np.asarray(a)
-    return np.stack([a.real, a.imag], -1).tolist()
 
 
 def trajectory_to_json(traj: Trajectory) -> str:
@@ -959,33 +955,23 @@ def trajectory_to_json(traj: Trajectory) -> str:
     values are fresh lists built here, which hold no cycle, so the encoder
     skips its cycle check (a dict entry per list).
     """
-    obj = {
-        "schema": TRAJECTORY_SCHEMA,
-        "N": traj.N,
-        "method": traj.method,
-        "seed": traj.seed,
-        "n_steps": traj.n_steps,
-        "n_rejected": traj.n_rejected,
-        "t": np.asarray(traj.t, dtype=float).tolist(),
-        "u": None if traj.u is None else _pairs(traj.u),
-        "K": _pairs(traj.K),
-        "phase_factor": _pairs(traj.phase_factor),
-        "chart_index": None
-        if traj.chart_index is None
-        else [int(c) for c in traj.chart_index],
-        "unitarity_defect": np.asarray(traj.unitarity_defect, dtype=float).tolist(),
-        "det_defect": np.asarray(traj.det_defect, dtype=float).tolist(),
-        "step_size": np.asarray(traj.step_size, dtype=float).tolist(),
-        "chart_events": [asdict(ev) for ev in traj.chart_events],
-    }
-    lines = [
-        f"{json.dumps(key)}: {json.dumps(value, check_circular=False)}"
-        for key, value in obj.items()
-    ]
+    obj = {"schema": TRAJECTORY_SCHEMA}
+    for key, kind, shape in _JSON_FIELDS:
+        value = getattr(traj, key)
+        if kind is SingularityReport:
+            value = [asdict(ev) for ev in value]
+        elif value is not None and shape:
+            a = np.asarray(value, dtype=kind)
+            value = (_pairs(a) if kind is complex else a).tolist()
+        obj[key] = value
+    lines = [f"{json.dumps(key)}: {json.dumps(value, check_circular=False)}"
+             for key, value in obj.items()]
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
 def trajectory_from_json(text: str) -> Trajectory:
+    """Each field must have its type and shape; only u, chart_index and seed
+    may be null."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -995,42 +981,46 @@ def trajectory_from_json(text: str) -> Trajectory:
         raise ValueError(
             f"unsupported schema {schema!r} (expected {TRAJECTORY_SCHEMA!r})"
         )
+    values: dict = {}
     try:
-        return _trajectory_from_obj(obj)
+        S = len(obj["t"]) if isinstance(obj["t"], list) else 0
+        if not S:
+            raise ValueError("trajectory JSON: t must be a non-empty list")
+        for key, kind, shape in _JSON_FIELDS:
+            value = obj[key]
+            if kind is SingularityReport:
+                value = _events(value)
+            elif value is None and key in _NULLABLE:
+                pass
+            elif not shape:
+                if type(value) is not kind:  # a bool is no int here
+                    raise ValueError(f"trajectory JSON: {key} must be {kind.__name__}, "
+                                     f"got {value!r}")
+            else:
+                try:
+                    a = np.array(value)
+                except ValueError:  # a ragged list, kept to its even depth
+                    a = np.array(value, dtype=object)
+                want = tuple({"S": S, "N": values["N"], "n": values["N"] ** 2 - 1}[d]
+                             for d in shape) + ((2,) if kind is complex else ())
+                if a.dtype.kind not in _KINDS[kind] or a.shape != want:
+                    raise ValueError(f"trajectory JSON: {key} must be {kind.__name__} of "
+                                     f"shape {want}, got {a.dtype} of shape {a.shape}")
+                value = _complex(a) if kind is complex else a.astype(kind)
+            values[key] = value
     except KeyError as exc:
         raise ValueError(f"trajectory JSON lacks the key {exc}") from exc
+    _increasing(values["t"], "JSON")
+    return Trajectory(**values)
 
 
-def _trajectory_from_obj(obj: dict) -> Trajectory:
-    def pairs(rows):
-        return np.array([complex(re, im) for re, im in rows])
-
-    t = np.array(obj["t"], dtype=float)
-    K = np.array(
-        [[[complex(re, im) for re, im in row] for row in Ks] for Ks in obj["K"]]
-    )
-    u = None
-    if obj["u"] is not None:
-        u = np.array([[complex(re, im) for re, im in row] for row in obj["u"]])
-    names = [fld.name for fld in fields(SingularityReport)]
-    events = tuple(
-        SingularityReport(**{k: ev[k] for k in names}) for ev in obj["chart_events"]
-    )
-    return Trajectory(
-        N=int(obj["N"]),
-        t=t,
-        K=K,
-        u=u,
-        phase_factor=pairs(obj["phase_factor"]),
-        chart_index=None
-        if obj["chart_index"] is None
-        else np.array(obj["chart_index"], dtype=int),
-        unitarity_defect=np.array(obj["unitarity_defect"], dtype=float),
-        det_defect=np.array(obj["det_defect"], dtype=float),
-        step_size=np.array(obj["step_size"], dtype=float),
-        chart_events=events,
-        method=obj["method"],
-        n_steps=int(obj["n_steps"]),
-        n_rejected=int(obj["n_rejected"]),
-        seed=obj["seed"],
-    )
+def _events(value) -> tuple:
+    """chart_events read back: a list of objects of SingularityReport's fields."""
+    fs = fields(SingularityReport)
+    if not isinstance(value, list) or not all(
+        isinstance(ev, dict) and all(type(ev[f.name]) in _EVENT_TYPES[f.type] for f in fs)
+        for ev in value
+    ):
+        raise ValueError("trajectory JSON: chart_events must be a list of objects "
+                         "holding the fields of SingularityReport with their types")
+    return tuple(SingularityReport(**{f.name: ev[f.name] for f in fs}) for ev in value)

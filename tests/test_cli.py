@@ -360,6 +360,39 @@ def test_compare_mismatch(tan_ini, tmp_path, capsys):
     capsys.readouterr()
 
 
+def _trajectory_json(**changed) -> str:
+    """A readable N = 2 trajectory file of two samples, with fields changed."""
+    obj = {
+        "schema": "wn-trajectory/2", "N": 2, "method": "adaptive", "seed": None,
+        "n_steps": 1, "n_rejected": 0, "t": [0.0, 1.0],
+        "u": [[[0.0, 0.0]] * 3] * 2,
+        "K": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]] * 2,
+        "phase_factor": [[1.0, 0.0]] * 2, "chart_index": [0, 0],
+        "unitarity_defect": [0.0, 0.0], "det_defect": [0.0, 0.0],
+        "step_size": [0.0, 1.0], "chart_events": [],
+    }
+    return json.dumps({**obj, **changed})
+
+
+_EVENT = {"time": 0.5, "trigger": "u-growth", "value": 0.6,
+          "generator_index": 1, "stage": 1, "condition": 3.0}
+# the K columns of an N = 2 CSV, without the defects
+_CSV_HEADER = "t,K_1_1_re,K_1_1_im,K_1_2_re,K_1_2_im,K_2_1_re,K_2_1_im,K_2_2_re,K_2_2_im"
+_CSV_ROW = "0,1,0,0,0,0,0,1,0"
+
+
+def test_the_malformed_files_differ_from_a_readable_one(tan_ini, tmp_path, capsys):
+    good = tmp_path / "t.json"
+    assert main(["integrate", "--config", tan_ini, "--out", str(good)]) == EXIT_OK
+    base = tmp_path / "base.json"
+    base.write_text(_trajectory_json(chart_events=[_EVENT]))
+    base_csv = tmp_path / "base.csv"
+    base_csv.write_text(f"{_CSV_HEADER},unitarity_defect,det_defect\n{_CSV_ROW},0,0\n")
+    for path in (base, base_csv):
+        assert main(["compare", str(path), str(good)]) == EXIT_OK
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize(
     "name, text, message",
     [
@@ -367,6 +400,65 @@ def test_compare_mismatch(tan_ini, tmp_path, capsys):
         ("bare.json", '{"schema": "wn-trajectory/2"}', "lacks the key 't'"),
         ("empty.csv", "", "holds no samples"),
         ("header.csv", "t,K_1_1_re,K_1_1_im\n", "holds no samples"),
+        pytest.param("K5.json", _trajectory_json(K=5),
+                     "K must be complex of shape (2, 2, 2, 2), got int64 of shape ()",
+                     id="K-a-number"),
+        pytest.param("events3.json", _trajectory_json(chart_events=3),
+                     "chart_events must be a list of objects", id="events-a-number"),
+        pytest.param("Nnull.json", _trajectory_json(N=None), "N must be int, got None",
+                     id="N-null"),
+        pytest.param("Nfloat.json", _trajectory_json(N=2.0), "N must be int, got 2.0",
+                     id="N-a-float"),
+        pytest.param("upairs.json", _trajectory_json(u=[[0.0, 0.0, 0.0]] * 2),
+                     "u must be complex of shape (2, 3, 2), got float64 of shape (2, 3)",
+                     id="u-rows-not-pairs"),
+        pytest.param("uragged.json", _trajectory_json(u=[[[0.0, 0.0]] * 3, [[0.0]] * 3]),
+                     "u must be complex of shape (2, 3, 2), got object of shape (2, 3)",
+                     id="u-ragged"),
+        pytest.param("ushort.json", _trajectory_json(u=[[[0.0, 0.0]] * 2] * 2),
+                     "u must be complex of shape (2, 3, 2)", id="u-too-few-coordinates"),
+        pytest.param("Kshort.json", _trajectory_json(
+            K=[[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]),
+            "K must be complex of shape (2, 2, 2, 2), got float64 of shape (1, 2, 2, 2)",
+            id="K-fewer-samples-than-t"),
+        pytest.param("defect.json", _trajectory_json(det_defect=[0.0]),
+                     "det_defect must be float of shape (2,)", id="defects-too-short"),
+        pytest.param("index.json", _trajectory_json(chart_index=[0.0, 1.0]),
+                     "chart_index must be int of shape (2,), got float64",
+                     id="chart-index-not-integers"),
+        pytest.param("tnull.json", _trajectory_json(t=None), "t must be a non-empty list",
+                     id="t-null"),
+        pytest.param("tempty.json", _trajectory_json(t=[]), "t must be a non-empty list",
+                     id="t-empty"),
+        pytest.param("tback.json", _trajectory_json(t=[1.0, 0.0]),
+                     "the sample times t must increase strictly", id="t-decreasing"),
+        pytest.param("tnan.json", _trajectory_json(t=[0.0, float("nan")]),
+                     "the sample times t must increase strictly", id="t-nan"),
+        pytest.param("tback.csv", f"{_CSV_HEADER},unitarity_defect,det_defect\n"
+                     f"1{_CSV_ROW[1:]},0,0\n{_CSV_ROW},0,0\n",
+                     "the sample times t must increase strictly", id="csv-t-decreasing"),
+        pytest.param("methodnull.json", _trajectory_json(method=None),
+                     "method must be str, got None", id="method-null"),
+        pytest.param("stepnull.json", _trajectory_json(step_size=[0.0, None]),
+                     "step_size must be float of shape (2,), got object of shape (2,)",
+                     id="null-in-an-array"),
+        pytest.param("phasenull.json", _trajectory_json(phase_factor=None),
+                     "phase_factor must be complex of shape (2, 2), got object",
+                     id="phase-null"),
+        pytest.param("eventnull.json",
+                     _trajectory_json(chart_events=[{**_EVENT, "time": None}]),
+                     "chart_events must be a list of objects holding the fields",
+                     id="null-in-an-event"),
+        pytest.param("eventkey.json", _trajectory_json(chart_events=[{"time": 0.5}]),
+                     "lacks the key 'trigger'", id="event-lacks-a-field"),
+        pytest.param("nodefects.csv", f"{_CSV_HEADER}\n{_CSV_ROW}\n",
+                     "header is not the one written for N = 2", id="csv-without-defects"),
+        pytest.param("badcell.csv",
+                     f"{_CSV_HEADER},unitarity_defect,det_defect\n{_CSV_ROW},0,x\n",
+                     "could not convert string 'x'", id="csv-bad-value"),
+        pytest.param("ragged.csv", f"{_CSV_HEADER},unitarity_defect,det_defect\n"
+                     f"{_CSV_ROW},0,0\n{_CSV_ROW},0\n",
+                     "number of columns changed", id="csv-ragged-rows"),
     ],
 )
 def test_compare_rejects_a_malformed_file(name, text, message, tan_ini, tmp_path, capsys):
@@ -380,6 +472,16 @@ def test_compare_rejects_a_malformed_file(name, text, message, tan_ini, tmp_path
         out, err = capsys.readouterr()
         assert err.startswith("compare: ") and message in err
         assert "Traceback" not in out + err
+
+
+def test_a_directory_is_not_a_readable_file(tmp_path, capsys):
+    folder = tmp_path / "run.json"
+    folder.mkdir()
+    for argv in (["compare", str(folder), str(folder)],
+                 ["integrate", "--config", str(folder)]):
+        assert main(argv) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert err.startswith(f"{argv[0]}: cannot read ") and "Traceback" not in out + err
 
 
 def test_unknown_subcommand_exits_nonzero():

@@ -6,6 +6,7 @@ derivation cannot hide behind the emitter.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -423,3 +424,34 @@ def test_json_parse_rejects_bad_input():
         parse_hierarchy_json("{")
     with pytest.raises(ValueError, match="schema"):
         parse_hierarchy_json('{"schema": "other/9", "stages": []}')
+
+
+def _first_coefficient(obj: dict) -> dict:
+    return obj["stages"][0]["c"][0][0]["coeff"]
+
+
+def _spoiled(change) -> str:
+    obj = json.loads(emit(derive_hierarchy(2), "json"))
+    change(obj)
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param("[1, 2]", "unsupported schema None", id="not-an-object"),
+        pytest.param(_spoiled(lambda o: o.pop("stages")), "lacks the key 'stages'",
+                     id="no-stages"),
+        pytest.param(_spoiled(lambda o: o["stages"][0].pop("unknowns")),
+                     "lacks the key 'unknowns'", id="stage-without-unknowns"),
+        pytest.param(_spoiled(lambda o: _first_coefficient(o).update(re=[1, 0])),
+                     "malformed hierarchy JSON", id="zero-denominator"),
+        pytest.param(_spoiled(lambda o: o.update(stages=3)), "malformed hierarchy JSON",
+                     id="stages-a-number"),
+        pytest.param(_spoiled(lambda o: _first_coefficient(o).update(re=[])),
+                     "malformed hierarchy JSON", id="empty-coefficient"),
+    ],
+)
+def test_json_parse_raises_only_value_error(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_hierarchy_json(text)

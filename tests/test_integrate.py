@@ -972,6 +972,82 @@ def test_csv_headers():
     assert header[-2:] == ["unitarity_defect", "det_defect"]
 
 
+def _hand_made_trajectory() -> Trajectory:
+    # N = 2, 3 samples, one chart event; entries hold nan, +-inf and -0.0
+    nan, inf = float("nan"), float("inf")
+    return Trajectory(
+        N=2,
+        t=np.array([0.0, 0.5, 1.0]),
+        K=np.array([
+            [[1, 0], [0, 1]],
+            [[complex(-0.0, inf), 0.25 - 0.5j], [complex(nan, 1.0), complex(1.0, -0.0)]],
+            [[complex(-inf, 0.0), 1e-300 + 2.5j], [complex(0.0, nan), -1.0 + 3.0j]],
+        ], dtype=complex),
+        u=np.array([
+            [0, 0, 0],
+            [complex(0.5, -0.0), complex(inf, nan), -0.25 + 0.125j],
+            [complex(-0.0, -inf), 0.1 + 0.2j, 3.0],
+        ], dtype=complex),
+        phase_factor=np.array([1, 1j, complex(-1.0, -0.0)]),
+        chart_index=np.array([0, 1, 1]),
+        unitarity_defect=np.array([0.0, nan, inf]),
+        det_defect=np.array([0.0, -0.0, 1e-16]),
+        step_size=np.array([0.0, 0.5, 0.5]),
+        chart_events=(integrate.SingularityReport(
+            time=0.25, trigger="u-growth", value=0.75, generator_index=1, stage=1,
+            condition=12.5,
+        ),),
+        method="adaptive", n_steps=4, n_rejected=1, seed=7,
+    )
+
+
+# the files of _hand_made_trajectory(), as literal text: no arithmetic goes
+# into them, so they hold on any platform
+_HAND_MADE_CSV = (
+    "t,u_1_re,u_1_im,u_2_re,u_2_im,u_3_re,u_3_im,K_1_1_re,K_1_1_im,K_1_2_re,"
+    "K_1_2_im,K_2_1_re,K_2_1_im,K_2_2_re,K_2_2_im,unitarity_defect,det_defect\n"
+    "0.0,0.0,0.0,0.0,0.0,0.0,0.0,1.0,0.0,0.0,0.0,0.0,0.0,1.0,0.0,0.0,0.0\n"
+    "0.5,0.5,-0.0,inf,nan,-0.25,0.125,-0.0,inf,0.25,-0.5,nan,1.0,1.0,-0.0,nan,-0.0\n"
+    "1.0,-0.0,-inf,0.1,0.2,3.0,0.0,-inf,0.0,1e-300,2.5,0.0,nan,-1.0,3.0,inf,1e-16\n"
+)
+_HAND_MADE_JSON = (
+    '{\n"schema": "wn-trajectory/2",\n"N": 2,\n"method": "adaptive",\n"seed": 7,\n'
+    '"n_steps": 4,\n"n_rejected": 1,\n"t": [0.0, 0.5, 1.0],\n'
+    '"u": [[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], [[0.5, -0.0], [Infinity, NaN], '
+    '[-0.25, 0.125]], [[-0.0, -Infinity], [0.1, 0.2], [3.0, 0.0]]],\n'
+    '"K": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], [[[-0.0, Infinity], '
+    '[0.25, -0.5]], [[NaN, 1.0], [1.0, -0.0]]], [[[-Infinity, 0.0], [1e-300, 2.5]], '
+    '[[0.0, NaN], [-1.0, 3.0]]]],\n'
+    '"phase_factor": [[1.0, 0.0], [0.0, 1.0], [-1.0, -0.0]],\n'
+    '"chart_index": [0, 1, 1],\n"unitarity_defect": [0.0, NaN, Infinity],\n'
+    '"det_defect": [0.0, -0.0, 1e-16],\n"step_size": [0.0, 0.5, 0.5],\n'
+    '"chart_events": [{"time": 0.25, "trigger": "u-growth", "value": 0.75, '
+    '"generator_index": 1, "stage": 1, "condition": 12.5}]\n}\n'
+)
+
+
+def _same_bits(x, y) -> bool:
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_file_layouts_and_round_trips_bit_for_bit():
+    traj = _hand_made_trajectory()
+    assert traj.to_csv() == _HAND_MADE_CSV
+    assert traj.to_json() == _HAND_MADE_JSON
+    back = Trajectory.from_json(_HAND_MADE_JSON)
+    for fld in dataclasses.fields(Trajectory):
+        got, want = getattr(back, fld.name), getattr(traj, fld.name)
+        if isinstance(want, np.ndarray):
+            assert _same_bits(got, want), fld.name
+        else:
+            assert got == want and type(got) is type(want), fld.name
+    # the CSV holds the samples: re + 1j * im would read (-0.0, inf) as (nan, inf)
+    back = Trajectory.from_csv(_HAND_MADE_CSV)
+    for name in ("t", "u", "K", "unitarity_defect", "det_defect"):
+        assert _same_bits(getattr(back, name), getattr(traj, name)), name
+    assert back.N == 2 and back.chart_events == () and back.chart_index is None
+
 # -- trajectory comparison ------------------------------------------------------------
 
 
@@ -994,6 +1070,49 @@ def test_compare_reports_relative_error():
     assert rep.max_relative == pytest.approx(0.5)
     assert rep.max_frobenius == pytest.approx(np.sqrt(2))
 
+
+def _compare_reference(a: Trajectory, b: Trajectory) -> tuple:
+    """The report's fields, one sample of ``a`` at a time: ``b`` blended
+    linearly between the samples that bracket it."""
+    lo, hi = max(a.t[0], b.t[0]), min(a.t[-1], b.t[-1])
+    times, diffs, rel, uni = [], [], [], []
+    for s in range(a.t.size):
+        t = a.t[s]
+        if not lo - 1e-12 <= t <= hi + 1e-12:
+            continue
+        j = min(max(int(np.searchsorted(b.t, t)) - 1, 0), b.t.size - 2)
+        t0, t1 = b.t[j], b.t[j + 1]
+        theta = min(max(0.0 if t1 == t0 else float((t - t0) / (t1 - t0)), 0.0), 1.0)
+        Kb = (1 - theta) * b.K[j] + theta * b.K[j + 1]
+        ub = (1 - theta) * b.unitarity_defect[j] + theta * b.unitarity_defect[j + 1]
+        times.append(float(t))
+        diffs.append(float(np.linalg.norm(a.K[s] - Kb)))
+        rel.append(diffs[-1] / float(np.linalg.norm(Kb)))
+        uni.append(abs(float(a.unitarity_defect[s]) - float(ub)))
+    rms = float(np.sqrt(np.mean(np.array(diffs) ** 2)))
+    return len(diffs), times[0], times[-1], max(diffs), max(rel), rms, max(uni)
+
+
+@pytest.mark.parametrize(
+    "grid_a, grid_b",
+    [
+        ((0.0, 2.0, 21), (0.05, 1.95, 8)),  # offset and coarser
+        ((0.05, 1.95, 8), (0.0, 2.0, 21)),  # offset and finer
+        ((0.0, 2.0, 21), (0.0, 2.0, 6)),  # coarser, shared ends
+        ((0.3, 2.5, 12), (0.0, 2.0, 17)),  # overlapping in part
+    ],
+)
+def test_compare_interpolates_between_grids_bit_for_bit(grid_a, grid_b):
+    sig = random_antihermitian_signal(3, np.random.default_rng(3), sup_norm=3)
+    a = integrate_wn(sig, IntegrationConfig(*grid_a[:2], samples=grid_a[2]))
+    b = integrate_direct(sig, IntegrationConfig(*grid_b[:2], samples=grid_b[2]))
+    got = dataclasses.astuple(compare(a, b))
+    want = _compare_reference(a, b)
+    assert got[0] == want[0]
+    assert [np.float64(x).tobytes() for x in got[1:]] == [
+        np.float64(x).tobytes() for x in want[1:]
+    ]
+    assert got[3] > 1e-3  # the grids do not coincide: the blend is not exact
 
 def test_compare_rejects_mismatch():
     t2 = integrate_wn(_rotation_signal(), IntegrationConfig(t1=1.0, samples=5))
